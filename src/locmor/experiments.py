@@ -9,7 +9,6 @@ s0 + i, and floats are formatted through one canonical function.
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +60,22 @@ EXPERIMENT_DEFAULTS = {
 
 EXPERIMENT_IDS = sorted(EXPERIMENT_DEFAULTS)
 
+# integer counts among the parameters, each at least 1
+COUNT_PARAMS = ("runs", "n_t", "h_inv", "n_cells")
+
+
+def _check_integer(name, value, minimum):
+    """Raise ValueError unless value is an integer >= minimum.
+
+    Integral floats such as 5.0 pass, since JSON writers may emit them;
+    bools, strings and non-integral numbers do not.
+    """
+    integral = (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    if not integral or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
 
 def _run_seed_count(params):
     """Upper bound on the run seeds seed, seed + 1, ... an experiment
@@ -86,10 +101,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {', '.join(EXPERIMENT_IDS)}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.runs is not None and self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        _check_integer("threads", self.threads, 1)
+        self.threads = int(self.threads)
+        if self.runs is not None:
+            _check_integer("runs", self.runs, 1)
+            self.runs = int(self.runs)
+        # the seed is written to the outputs, so an integral float stays
+        # as given
+        _check_integer("seed", self.seed, 0)
         defaults = EXPERIMENT_DEFAULTS[self.experiment]
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -100,6 +119,10 @@ class ExperimentConfig:
         merged.update(self.params)
         if self.runs is not None and "runs" in merged:
             merged["runs"] = self.runs
+        for key in COUNT_PARAMS:
+            if key in merged:
+                _check_integer(f"params {key}", merged[key], 1)
+                merged[key] = int(merged[key])
         self.params = merged
         # RngStream keys must lie below 2**128 (Philox).  Run i draws from
         # key seed + i, except in example4-gfem: gfem_run keys its patch
@@ -208,14 +231,6 @@ def write_jsonl(path, records):
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return path
-
-
-def _map_indexed(fn, count, threads):
-    """Run fn(0..count-1), preserving index order in the result list."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +425,8 @@ def run_example4_gfem(cfg, outdir):
         problem = build_gfem_problem(mesh, pde, source)
         for tol in p["tols"]:
             for _ in range(p["runs"]):
-                seed = cfg.seed + run_index
+                # patch stream keys shift the seed, which needs an int
+                seed = int(cfg.seed) + run_index
                 run_index += 1
                 result, spaces = gfem_run(
                     problem, tol, p["n_t"], p["eps_algofail"], seed,

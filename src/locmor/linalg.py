@@ -89,7 +89,8 @@ class Factorization:
         if maxabs == 0.0:
             raise NearSingularError("near-resonant or singular system: zero matrix")
         try:
-            self._lu = spla.splu(matrix)
+            # symmetric-pattern ordering: L+U fill 2.94M vs COLAMD 5.11M (40,501 dofs)
+            self._lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise NearSingularError(
                 f"near-resonant or singular system: {exc}") from exc
@@ -386,12 +387,6 @@ class RangeBasis:
             return False
         self._append(w / norm1)
         return True
-
-
-def orthonormalize_extend(basis, v, theta=REORTH_THRESHOLD,
-                          drop_tol=DROP_TOL):
-    """Functional entry point for RangeBasis.extend."""
-    return basis.extend(v, theta=theta, drop_tol=drop_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -120,11 +120,20 @@ def c_eff(n_t, eps_testfail, n_o, lambda_min, lambda_max):
     return math.sqrt(q * (lambda_max / lambda_min) / root ** 2)
 
 
+def _draw_images(op, count, rng):
+    """Images of `count` independent random draws, applied as one block.
+
+    The columns are drawn one standard_normal call each, so the stream
+    advances exactly as for `count` single applies.
+    """
+    n_s = op.source.dim
+    block = np.column_stack([rng.standard_normal(n_s) for _ in range(count)])
+    return op.apply_block(block)
+
+
 def test_vector_norms(op, n_t, rng):
     """Range norms of n_t random operator images."""
-    n_s = op.source.dim
-    cols = [op.apply(rng.standard_normal(n_s)) for _ in range(n_t)]
-    return op.range_space.norms(np.column_stack(cols))
+    return op.range_space.norms(_draw_images(op, n_t, rng))
 
 
 def norm_estimate(op, n_t, eps_testfail, rng):
@@ -161,8 +170,7 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng,
     c = c_est(n_t, eps_testfail, op.source.lambda_min)
 
     basis = RangeBasis(op.range_space)
-    tests = np.column_stack(
-        [op.apply(rng.standard_normal(n_s)) for _ in range(n_t)])
+    tests = _draw_images(op, n_t, rng)
     basis.evaluations = n_t
 
     rejects = 0
@@ -200,11 +208,13 @@ def fixed_rank_range(op, n, rng):
     """Orthonormalized images of n random draws (no error control)."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    n_s = op.source.dim
     basis = RangeBasis(op.range_space)
-    for _ in range(n):
-        basis.extend(op.apply(rng.standard_normal(n_s)))
-        basis.evaluations += 1
+    if n == 0:
+        return basis
+    images = _draw_images(op, n, rng)
+    for k in range(n):
+        basis.extend(images[:, k])
+    basis.evaluations = n
     return basis
 
 

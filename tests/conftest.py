@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread: the suite makes many tiny dense calls, and each pays a
+# thread wake-up under default threading.  Only effective before numpy is
+# first imported, which happens below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -150,6 +150,24 @@ def test_config_rejects_bad_counts():
         ExperimentConfig("example1-fixed", threads=0)
     with pytest.raises(ValueError, match="runs"):
         ExperimentConfig("example1-fixed", runs=0)
+    for key in ("seed", "runs", "threads"):
+        for bad in (True, "3", 1.5, float("nan"), [2]):
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig("example1-fixed", **{key: bad})
+    for key in ("runs", "n_t", "h_inv"):
+        for bad in (0, -2, "10", 2.5, False):
+            with pytest.raises(ValueError, match=f"params {key}"):
+                ExperimentConfig("example1-adaptive", params={key: bad})
+    with pytest.raises(ValueError, match="params n_cells"):
+        ExperimentConfig("example4-gfem", params={"n_cells": 0})
+    # integral floats pass; the seed is kept as given since runs write it
+    cfg = ExperimentConfig("example1-adaptive", seed=5.0, runs=2.0,
+                           threads=2.0, params={"n_t": 3.0, "h_inv": 10.0})
+    assert cfg.seed == 5.0 and isinstance(cfg.seed, float)
+    for value, want in ((cfg.runs, 2), (cfg.threads, 2),
+                        (cfg.params["runs"], 2), (cfg.params["n_t"], 3),
+                        (cfg.params["h_inv"], 10)):
+        assert value == want and type(value) is int
 
 
 def test_config_seed_range_keeps_stream_keys_below_2_128():
@@ -200,8 +218,21 @@ def test_console_script_and_error_exit_codes(tmp_path):
     malformed.write_text("{schema_version: 1", encoding="utf-8")
     not_object = tmp_path / "list.json"
     not_object.write_text("[1]", encoding="utf-8")
+    invalid = [
+        {**SMALL_FIXED, "seed": "3"},
+        {**SMALL_FIXED, "threads": "2"},
+        {**SMALL_FIXED, "runs": True},
+        {**SMALL_FIXED, "seed": 1.5},
+        {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "runs": 0}},
+        {**SMALL_ADAPTIVE, "params": {**SMALL_ADAPTIVE["params"], "n_t": 0}},
+        {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "h_inv": "10"}},
+        {**SMALL_FIXED, "experiment": "example4-gfem",
+         "params": {"n_cells": 0}},
+    ]
     out = tmp_path / "out"
     for args in (["--config", _write_config(tmp_path, bad, "bad.json")],
+                 *(["--config", _write_config(tmp_path, cfg, f"inv{i}.json")]
+                   for i, cfg in enumerate(invalid)),
                  ["--config", str(tmp_path / "missing.json")],
                  ["--config", str(malformed)],
                  ["--config", str(not_object)],

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            dense_svd, factorize, generalized_symmetric_eig,
                            gram_extremal_eigenvalues, load_matrix_market,
                            save_matrix_market)
+from locmor.fem import PdeSpec, assemble_system, build_rect_mesh
+from locmor.problems import build_interface_transfer
 from conftest import random_spd
 
 
@@ -42,6 +45,25 @@ def test_factorize_solves_and_rejects_singular():
     singular[2, 2] = 0.0
     with pytest.raises((NearSingularError, RuntimeError)):
         factorize(singular.tocsc())
+
+
+def test_factorization_fill_below_colamd():
+    op = build_interface_transfer(20)
+    lu = op.factorization._lu
+    matrix = sp.csc_matrix(assemble_system(op.mesh, PdeSpec("laplace")))
+    colamd = spla.splu(matrix, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    b = np.random.default_rng(43).standard_normal(matrix.shape[0])
+    x = op.factorization.solve(b)
+    assert np.abs(matrix @ x - b).max() < 1e-10 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("kind", ["q1", "p1x"])
+def test_factorize_rejects_resonant_helmholtz(kind):
+    # all-natural boundary: kappa = 0 resonates with the constant mode
+    mesh = build_rect_mesh((0.0, 1.0, 0.0, 1.0), 0.1, kind)
+    with pytest.raises(NearSingularError):
+        factorize(assemble_system(mesh, PdeSpec("helmholtz", kappa=0.0)))
 
 
 def test_gram_extremal_eigenvalues_dense_certified():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from locmor.linalg import InnerProductSpace
+from locmor.problems import build_interface_transfer
 from locmor.rangefinder import (EstimatorParams, RngStream, a_priori_bound,
                                 adaptive_randomized_range, c_eff, c_est,
                                 effectivity, fixed_rank_range, norm_estimate,
                                 projection_error)
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf
-from locmor.transfer import DenseOperator, euclidean_spaces
+from locmor.transfer import DenseOperator, TransferOperator, \
+    euclidean_spaces
 
 
 def test_rng_stream_reproducible():
@@ -228,3 +230,114 @@ def test_effectivity_basics():
     full = fixed_rank_range(op, 16, RngStream(55))
     with pytest.raises(ArithmeticError):
         effectivity(op, full, 10, 1e-2, RngStream(56))
+
+
+# ---------------------------------------------------------------------------
+# block applies against the one-column-at-a-time reference
+
+
+class _Recording:
+    """Forward to an operator, recording every apply_block input and
+    output."""
+
+    def __init__(self, op):
+        self.op = op
+        self.source = op.source
+        self.range_space = op.range_space
+        self.blocks = []
+
+    def apply(self, zeta):
+        return self.op.apply(zeta)
+
+    def apply_block(self, block):
+        out = self.op.apply_block(block)
+        self.blocks.append((block.copy(), out))
+        return out
+
+
+class _Columnwise(_Recording):
+    """Reference: every block is applied one column at a time."""
+
+    def apply_block(self, block):
+        return np.column_stack([self.op.apply(block[:, k])
+                                for k in range(block.shape[1])])
+
+
+@pytest.fixture(scope="module")
+def sparse_ops():
+    """Sparse channel operators with an even (22) and an odd (21) source
+    dimension; the odd one drops the last source node."""
+    even = build_interface_transfer(10)
+    keep = even.n_source - 1
+    source = InnerProductSpace(even.source.gram[:keep, :keep])
+    odd = TransferOperator(even.factorization, even.source_ids[:keep],
+                           even.range_ids, source, even.range_space)
+    return even, odd
+
+
+def _assert_images_match_columns(recorded):
+    for block, out in recorded.blocks:
+        ref = np.column_stack([recorded.op.apply(block[:, k])
+                               for k in range(block.shape[1])])
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _draws(seed, n_s, count):
+    rng = RngStream(seed)
+    return np.column_stack([rng.standard_normal(n_s) for _ in range(count)])
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_test_vector_norms_block_matches_columnwise(sparse_ops, which):
+    op = sparse_ops[which]
+    n_s, n_t = op.n_source, 7
+    blocked, columnwise = _Recording(op), _Columnwise(op)
+    rng_b, rng_c = RngStream(61), RngStream(61)
+    norms_b = batch_image_norms(blocked, n_t, rng_b)
+    norms_c = batch_image_norms(columnwise, n_t, rng_c)
+    assert rng_b.draws == rng_c.draws == n_t * n_s
+    assert np.abs(norms_b - norms_c).max() <= 1e-12 * norms_c.max()
+    # one block, drawn column by column from the stream
+    assert len(blocked.blocks) == 1
+    assert np.array_equal(blocked.blocks[0][0], _draws(61, n_s, n_t))
+    _assert_images_match_columns(blocked)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_fixed_rank_block_matches_columnwise(sparse_ops, which, n):
+    op = sparse_ops[which]
+    blocked, columnwise = _Recording(op), _Columnwise(op)
+    rng_b, rng_c = RngStream(67), RngStream(67)
+    basis_b = fixed_rank_range(blocked, n, rng_b)
+    basis_c = fixed_rank_range(columnwise, n, rng_c)
+    assert rng_b.draws == rng_c.draws == n * op.n_source
+    assert basis_b.evaluations == basis_c.evaluations == n
+    assert len(basis_b) == len(basis_c) == n
+    if n == 0:
+        assert blocked.blocks == []
+        return
+    assert len(blocked.blocks) == 1
+    assert np.array_equal(blocked.blocks[0][0], _draws(67, op.n_source, n))
+    _assert_images_match_columns(blocked)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_adaptive_block_matches_columnwise(sparse_ops, which):
+    op = sparse_ops[which]
+    n_t = 5
+    blocked, columnwise = _Recording(op), _Columnwise(op)
+    rng_b, rng_c = RngStream(71), RngStream(71)
+    basis_b = adaptive_randomized_range(blocked, 1e-4, n_t, 1e-10, rng_b)
+    basis_c = adaptive_randomized_range(columnwise, 1e-4, n_t, 1e-10, rng_c)
+    assert rng_b.draws == rng_c.draws
+    assert basis_b.evaluations == basis_c.evaluations == len(basis_b) + n_t
+    assert len(basis_b) == len(basis_c) > 0
+    est_b = [d["estimate"] for d in basis_b.diagnostics]
+    est_c = [d["estimate"] for d in basis_c.diagnostics]
+    assert np.allclose(est_b, est_c, rtol=1e-8, atol=0.0)
+    # only the test vectors go as a block; the loop's draws stay single
+    assert len(blocked.blocks) == 1
+    assert np.array_equal(blocked.blocks[0][0], _draws(71, op.n_source, n_t))
+    _assert_images_match_columns(blocked)
