@@ -4,20 +4,18 @@ with a GFEM driver for localized model order reduction."""
 from .fem import PdeSpec, RectMesh, build_rect_mesh
 from .gfem import (build_gfem_problem, build_patches, gfem_run, local_space,
                    partition_of_unity, tolerance_cascade)
-from .linalg import (InnerProductSpace, NearSingularError, RangeBasis,
-                     factorize, load_matrix_market, save_matrix_market)
+from .linalg import InnerProductSpace, NearSingularError, RangeBasis, factorize
 from .oracle import (analytic_interface_sigma, operator_norm,
                      transfer_eigenproblem, weighted_svd)
 from .problems import build_gfem_mesh, build_interface_transfer, gfem_field
-from .rangefinder import (EstimatorParams, RngStream, a_priori_bound,
-                          adaptive_randomized_range, c_eff, c_est,
-                          fixed_rank_range, norm_estimate, projection_error)
+from .rangefinder import (RngStream, a_priori_bound, adaptive_randomized_range,
+                          c_eff, c_est, fixed_rank_range, norm_estimate,
+                          projection_error)
 from .transfer import ResidualOperator, TransferOperator
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EstimatorParams",
     "InnerProductSpace",
     "NearSingularError",
     "PdeSpec",
@@ -40,13 +38,11 @@ __all__ = [
     "fixed_rank_range",
     "gfem_field",
     "gfem_run",
-    "load_matrix_market",
     "local_space",
     "norm_estimate",
     "operator_norm",
     "partition_of_unity",
     "projection_error",
-    "save_matrix_market",
     "tolerance_cascade",
     "transfer_eigenproblem",
     "weighted_svd",

@@ -18,7 +18,7 @@ from .gfem import build_gfem_problem, gfem_run
 from .oracle import weighted_svd
 from .problems import build_gfem_mesh, build_interface_transfer, gfem_field
 from .rangefinder import (RngStream, a_priori_bound, adaptive_randomized_range,
-                          c_eff, c_est, fixed_rank_range, norm_estimate,
+                          c_eff, fixed_rank_range, norm_estimate,
                           projection_error, test_vector_norms)
 from .transfer import ResidualOperator
 
@@ -60,12 +60,19 @@ EXPERIMENT_DEFAULTS = {
 
 EXPERIMENT_IDS = sorted(EXPERIMENT_DEFAULTS)
 
-# integer counts among the parameters, each at least 1
-COUNT_PARAMS = ("runs", "n_t", "h_inv", "n_cells")
+# integer parameters (lists: each entry) and their minimum
+INTEGER_PARAMS = {"runs": 1, "n_t": 1, "h_inv": 1, "n_cells": 1, "n": 1,
+                  "sigma_count": 1, "h_invs": 1, "n_t_values": 1,
+                  "n_values": 0}
+# real parameters (lists: each entry) and the open interval they lie in
+REAL_PARAMS = {"tol": (0.0, math.inf), "tols": (0.0, math.inf),
+               "kappas": (-math.inf, math.inf), "eps_algofail": (0.0, 1.0),
+               "eps_testfail": (0.0, 1.0)}
 
 
 def _check_integer(name, value, minimum):
-    """Raise ValueError unless value is an integer >= minimum.
+    """Return int(value); raise ValueError unless value is an integer
+    >= minimum.
 
     Integral floats such as 5.0 pass, since JSON writers may emit them;
     bools, strings and non-integral numbers do not.
@@ -75,6 +82,27 @@ def _check_integer(name, value, minimum):
     if not integral or value < minimum:
         raise ValueError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name, value, lo, hi):
+    """Raise ValueError unless value is a finite number in (lo, hi)."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and lo < value < hi):
+        raise ValueError(
+            f"{name} must be a finite number in ({lo}, {hi}), got {value!r}")
+    return value
+
+
+def _check_param(key, value, default, check, *bounds):
+    """check(name, value, *bounds) on a parameter, or on each entry of a
+    list parameter (one whose default is a list)."""
+    if not isinstance(default, list):
+        return check(f"params {key}", value, *bounds)
+    if not isinstance(value, list):
+        raise ValueError(f"params {key} must be a list, got {value!r}")
+    return [check(f"params {key}[{i}]", v, *bounds)
+            for i, v in enumerate(value)]
 
 
 def _run_seed_count(params):
@@ -101,11 +129,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {', '.join(EXPERIMENT_IDS)}")
-        _check_integer("threads", self.threads, 1)
-        self.threads = int(self.threads)
+        self.threads = _check_integer("threads", self.threads, 1)
         if self.runs is not None:
-            _check_integer("runs", self.runs, 1)
-            self.runs = int(self.runs)
+            self.runs = _check_integer("runs", self.runs, 1)
         # the seed is written to the outputs, so an integral float stays
         # as given
         _check_integer("seed", self.seed, 0)
@@ -119,10 +145,13 @@ class ExperimentConfig:
         merged.update(self.params)
         if self.runs is not None and "runs" in merged:
             merged["runs"] = self.runs
-        for key in COUNT_PARAMS:
-            if key in merged:
-                _check_integer(f"params {key}", merged[key], 1)
-                merged[key] = int(merged[key])
+        for key, value in merged.items():
+            if key in INTEGER_PARAMS:
+                merged[key] = _check_param(key, value, defaults[key],
+                                           _check_integer, INTEGER_PARAMS[key])
+            elif key in REAL_PARAMS:
+                merged[key] = _check_param(key, value, defaults[key],
+                                           _check_real, *REAL_PARAMS[key])
         self.params = merged
         # RngStream keys must lie below 2**128 (Philox).  Run i draws from
         # key seed + i, except in example4-gfem: gfem_run keys its patch

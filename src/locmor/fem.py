@@ -24,6 +24,19 @@ _TAG_PRECEDENCE = {GAMMA_OUT: 3, SIGMA_D: 2, SIGMA_N: 1, INTERIOR: 0}
 _GEOM_TOL = 1e-9
 
 
+def box_indicator(background, boxes):
+    """Piecewise-constant field from axis-aligned boxes; last box wins."""
+    def indicator(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.full(x.shape, float(background))
+        for (x0, x1, y0, y1, value) in boxes:
+            inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+            out[inside] = value
+        return out
+    return indicator
+
+
 @dataclass
 class PdeSpec:
     """Scalar second-order operator on a rectangle.
@@ -52,22 +65,7 @@ class PdeSpec:
 
     def coefficient(self, x, y):
         """Coefficient at points (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        k = np.full(x.shape, float(self.background))
-        for (x0, x1, y0, y1, value) in self.boxes:
-            inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-            k[inside] = value
-        return k
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(
-            kind=cfg.get("kind", "laplace"),
-            kappa=float(cfg.get("kappa", 0.0)),
-            background=float(cfg.get("background", 1.0)),
-            boxes=[tuple(b) for b in cfg.get("boxes", [])],
-        )
+        return box_indicator(self.background, self.boxes)(x, y)
 
 
 class RectMesh:
@@ -130,9 +128,6 @@ class RectMesh:
         conn = self.elements
         return self.coords[conn].mean(axis=1)
 
-    def corner_index(self, i, j):
-        return j * (self.nx + 1) + i
-
     def nodes_on_line(self, axis, value):
         """Corner nodes on the mesh line {axis == value}, sorted along it."""
         col = 0 if axis == "x" else 1
@@ -143,14 +138,6 @@ class RectMesh:
         order = np.argsort(self.coords[ids, 1 - col])
         return ids[order]
 
-    def nodes_in_box(self, box):
-        """All nodes (corner and center) inside the closed box."""
-        x0, x1, y0, y1 = box
-        c = self.coords
-        mask = ((c[:, 0] >= x0 - _GEOM_TOL) & (c[:, 0] <= x1 + _GEOM_TOL)
-                & (c[:, 1] >= y0 - _GEOM_TOL) & (c[:, 1] <= y1 + _GEOM_TOL))
-        return np.nonzero(mask)[0]
-
     def elements_in_box(self, box):
         """Element ids whose centroid lies in the box."""
         x0, x1, y0, y1 = box
@@ -159,9 +146,6 @@ class RectMesh:
                 & (cent[:, 1] >= y0 - _GEOM_TOL)
                 & (cent[:, 1] <= y1 + _GEOM_TOL))
         return np.nonzero(mask)[0]
-
-    def boundary_nodes(self, tag):
-        return np.nonzero(self.node_tags == tag)[0]
 
     @property
     def constrained_nodes(self):
@@ -420,14 +404,10 @@ def load_vector(mesh, f):
     return b
 
 
-def constrain_rhs(mesh, b, boundary_values=None):
-    """Zero the load at constrained rows (or place lifted boundary data)."""
+def constrain_rhs(mesh, b):
+    """Zero the load at constrained rows."""
     out = b.copy()
-    ids = mesh.constrained_nodes
-    out[ids] = 0.0
-    if boundary_values is not None:
-        for nid, val in boundary_values.items():
-            out[nid] = val
+    out[mesh.constrained_nodes] = 0.0
     return out
 
 

@@ -3,14 +3,14 @@ partition-of-unity weights, per-patch reduced spaces built by the
 adaptive rangefinder, and the coupled global Galerkin solve."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem
-from .fem import GAMMA_OUT, SIGMA_D, build_rect_mesh, path_l2_gram
+from .fem import GAMMA_OUT, build_rect_mesh, path_l2_gram
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
 from .transfer import TransferOperator, constant_kernel_basis
@@ -32,21 +32,15 @@ class GfemPatch:
         self.local_to_global = None
         self.source_ids = None
         self.range_ids = None
-        self.range_corner_count = None
         self.source = None
         self.range_space = None
         self.core_mass = None
         self.operator = None
-        self.dense_operator = None
         self.touches_dirichlet = None
         self.pou_weights = None
         self.u_f = None
         self.truth_energy = None
         self.trace_norm = None
-
-    @property
-    def n_source(self):
-        return self.source_ids.size
 
     @property
     def n_range(self):
@@ -161,8 +155,6 @@ def _build_local_problem(global_mesh, pde, patch):
     if not np.array_equal(range_ids, mass_ids):
         raise AssertionError("range node sets disagree between products")
     patch.range_ids = range_ids
-    corner_mask = range_ids < mesh.n_corner
-    patch.range_corner_count = int(corner_mask.sum())
     patch.core_mass = mass_gram
 
     cx0, cx1, cy0, cy1 = patch.core_box
@@ -170,23 +162,20 @@ def _build_local_problem(global_mesh, pde, patch):
                                or abs(cx1 - gx1) <= _TOL
                                or abs(cy0 - gy0) <= _TOL
                                or abs(cy1 - gy1) <= _TOL)
-    ones = np.ones(range_ids.size)
-    kernel = None
+    # away from the global boundary constants are flat in the energy
+    # product and are removed from the operator in the L2 quotient
+    kernel = kernel_basis = quotient_gram = None
     if not patch.touches_dirichlet:
+        ones = np.ones(range_ids.size)
         kernel = (ones / np.linalg.norm(ones))[:, None]
+        kernel_basis = constant_kernel_basis(mass_gram)
+        quotient_gram = mass_gram
     patch.range_space = InnerProductSpace(energy_gram, definite=False,
                                           kernel=kernel)
-
-    if patch.touches_dirichlet:
-        patch.operator = TransferOperator(
-            factorization, patch.source_ids, range_ids,
-            patch.source, patch.range_space, kernel_stage="none")
-    else:
-        patch.operator = TransferOperator(
-            factorization, patch.source_ids, range_ids,
-            patch.source, patch.range_space, kernel_stage="range",
-            kernel_basis=constant_kernel_basis(mass_gram),
-            quotient_gram=mass_gram)
+    patch.operator = TransferOperator(
+        factorization, patch.source_ids, range_ids, patch.source,
+        patch.range_space, kernel_basis=kernel_basis,
+        quotient_gram=quotient_gram)
 
 
 def _attach_pou(patches, global_mesh, stride, core, overlap):
@@ -282,11 +271,8 @@ def local_space(patch, tol, n_t, eps_algofail, rng, u_f=None):
     energy seminorm cannot normalize the constant), dropping dependent
     vectors.
     """
-    # Monte Carlo studies rerun every patch many times; the dense
-    # assembly amortizes the local solves across runs
-    op = patch.dense_operator if patch.dense_operator is not None \
-        else patch.operator
-    basis = adaptive_randomized_range(op, tol, n_t, eps_algofail, rng)
+    basis = adaptive_randomized_range(patch.operator, tol, n_t,
+                                      eps_algofail, rng)
     l2_space = InnerProductSpace(patch.core_mass)
     combined = RangeBasis(l2_space)
     combined.extend_block(basis.matrix)
@@ -317,7 +303,7 @@ class GfemProblem:
     truth: np.ndarray
     truth_energy: float
     c_pou: int
-    coupling: object = None
+    coupling: object
 
 
 class _Coupling:
@@ -367,7 +353,10 @@ def build_gfem_problem(mesh, pde, source_fn, core=0.2, stride=0.1,
 
     for patch in patches:
         _attach_patch_data(pde, patch, source_fn, truth)
-        patch.dense_operator = patch.operator.assemble_dense()
+        # Monte Carlo studies rerun every patch many times; the dense
+        # form amortizes the local solves across runs and frees the
+        # factorization
+        patch.operator = patch.operator.assemble_dense()
     coupling = _Coupling(mesh, stiffness_raw, patches)
     return GfemProblem(mesh=mesh, pde=pde, source_fn=source_fn,
                        patches=patches, system=system,
@@ -437,8 +426,6 @@ def assemble_gfem_and_solve(problem, spaces):
     """
     mesh = problem.mesh
     coupling = problem.coupling
-    if coupling is None:
-        coupling = _Coupling(mesh, problem.stiffness_raw, problem.patches)
 
     weighted = []
     for space, keep in zip(spaces, coupling.keep_masks):

@@ -1,7 +1,6 @@
 """Dense and sparse linear algebra kernels shared by all other modules."""
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -251,10 +250,6 @@ class InnerProductSpace:
     def lambda_min(self):
         return self.extremal_eigenvalues()[0]
 
-    @property
-    def lambda_max(self):
-        return self.extremal_eigenvalues()[1]
-
     def cholesky(self):
         """Dense lower Cholesky factor.  Requires a definite Gram matrix."""
         if not self.definite:
@@ -307,21 +302,6 @@ class RangeBasis:
             self._buf = grown
         self._buf[:, self._n] = w
         self._n += 1
-
-    def coefficients(self, v):
-        """Expansion coefficients (B^T M v) of the projection of v."""
-        if self._n == 0:
-            return np.empty(0)
-        return self.matrix.T @ self.space.apply_gram(v)
-
-    def project_out(self, v, sweeps=2):
-        """Return v minus its projection onto span(basis)."""
-        if self._n == 0:
-            return v
-        b = self.matrix
-        for _ in range(sweeps):
-            v = v - b @ (b.T @ self.space.apply_gram(v))
-        return v
 
     def extend_block(self, block):
         """Append many independent columns at once via two-pass Cholesky
@@ -387,21 +367,3 @@ class RangeBasis:
             return False
         self._append(w / norm1)
         return True
-
-
-# ---------------------------------------------------------------------------
-# matrix market I/O
-
-
-def save_matrix_market(path, matrix, comment=""):
-    """Write a dense or sparse matrix; full 18-digit precision so the
-    round trip is bit exact."""
-    scipy.io.mmwrite(str(path), matrix, comment=comment, precision=17)
-
-
-def load_matrix_market(path):
-    """Read a Matrix Market file; sparse files come back as CSR."""
-    m = scipy.io.mmread(str(path))
-    if sp.issparse(m):
-        return m.tocsr()
-    return np.asarray(m)

@@ -120,10 +120,3 @@ def analytic_interface_sigma(i, length, width):
         raise ValueError("index is 1-based")
     return 1.0 / (math.sqrt(2.0) * math.cosh((i - 1) * math.pi
                                              * length / width))
-
-
-def spectral_rows(data, limit=None):
-    """(index, eigenvalue, sigma) rows for CSV export."""
-    n = data.sigmas.size if limit is None else min(limit, data.sigmas.size)
-    return [(i + 1, float(data.eigenvalues[i]), float(data.sigmas[i]))
-            for i in range(n)]

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (PdeSpec, assemble_interface_l2, assemble_system,
-                  build_rect_mesh)
+                  box_indicator, build_rect_mesh)
 from .linalg import InnerProductSpace, factorize
 from .transfer import TransferOperator
 
@@ -39,22 +39,9 @@ def build_interface_transfer(h_inv, length=1.0, width=1.0, kappa=0.0):
     range_space = InnerProductSpace(gram_m)
 
     op = TransferOperator(factorization, source_ids, ids_m, source,
-                          range_space, kernel_stage="none")
+                          range_space)
     op.mesh = mesh
     return op
-
-
-def box_indicator(background, boxes):
-    """Piecewise-constant field from axis-aligned boxes; last box wins."""
-    def field(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.full(x.shape, float(background))
-        for (x0, x1, y0, y1, value) in boxes:
-            inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-            out[inside] = value
-        return out
-    return field
 
 
 # high-contrast conductor loops and source strips of the heat-sink setup

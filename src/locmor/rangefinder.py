@@ -10,7 +10,6 @@ iterations.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,46 +46,6 @@ class RngStream:
         z[1::2] = radius * np.sin(2.0 * np.pi * u2)
         self.draws += n
         return z[:n]
-
-
-@dataclass
-class EstimatorParams:
-    """Parameters of the probabilistic norm estimator.
-
-    lambda_min/lambda_max are the extremal source-Gram eigenvalues; n_o
-    is the rank of the estimated operator (only needed for the
-    effectivity bound).
-    """
-
-    n_t: int
-    eps_testfail: float
-    lambda_min: float
-    lambda_max: float = None
-    eps_algofail: float = None
-    n_t_bound: int = None
-    n_o: int = None
-
-    def __post_init__(self):
-        if self.n_t < 1:
-            raise ValueError("need at least one test vector")
-        if not 0.0 < self.eps_testfail < 1.0:
-            raise ValueError("eps_testfail must lie in (0, 1)")
-        if self.lambda_min <= 0.0:
-            raise ValueError("lambda_min must be positive")
-        if self.eps_algofail is not None and self.n_t_bound is not None:
-            derived = self.eps_algofail / self.n_t_bound
-            if not math.isclose(derived, self.eps_testfail, rel_tol=1e-12):
-                raise ValueError(
-                    "eps_testfail does not equal eps_algofail / n_t_bound")
-
-    @classmethod
-    def from_algofail(cls, n_t, eps_algofail, n_t_bound, lambda_min,
-                      **kwargs):
-        if not 0.0 < eps_algofail < 1.0:
-            raise ValueError("eps_algofail must lie in (0, 1)")
-        return cls(n_t=n_t, eps_testfail=eps_algofail / n_t_bound,
-                   eps_algofail=eps_algofail, n_t_bound=n_t_bound,
-                   lambda_min=lambda_min, **kwargs)
 
 
 def c_est(n_t, eps_testfail, lambda_min):

@@ -1,11 +1,14 @@
 """Scalar special functions feeding the probabilistic estimator constants.
 
-The normalized upper incomplete gamma function is the workhorse; the error
-function pair is derived from it.  Everything runs in log space where the
-arguments get large, so shape parameters in the thousands stay accurate.
+erf, erfc, erf_inv, gamma_q and gamma_q_inv wrap scipy.special behind
+the domain checks the estimator relies on.  log_gamma_q, the log of the
+normalized upper incomplete gamma function, has no scipy counterpart; it
+runs in log space, so tails where Q itself underflows stay finite.
 """
 
 import math
+
+import scipy.special
 
 _EPS = 1e-16
 _MAX_ITER = 10 ** 6
@@ -63,9 +66,13 @@ def _log_upper_cf(a, x):
     raise ArithmeticError("upper gamma continued fraction failed to converge")
 
 
-def _check_gamma_args(a, x):
+def _check_shape(a):
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"shape parameter must be positive and finite, got {a}")
+
+
+def _check_gamma_args(a, x):
+    _check_shape(a)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError(f"argument must be nonnegative and finite, got {x}")
 
@@ -87,131 +94,33 @@ def gamma_q(a, x):
     Q(a, 0) = 1 and Q decreases monotonically to 0.
     """
     _check_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x)
-    return math.exp(_log_upper_cf(a, x))
+    return float(scipy.special.gammaincc(a, x))
 
 
 def gamma_q_inv(a, y):
-    """Solve gamma_q(a, x) = y for x, given y in (0, 1].
-
-    Bracketing bisection on log Q (monotone) followed by Newton polish.
-    """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"shape parameter must be positive and finite, got {a}")
+    """Solve gamma_q(a, x) = y for x, given y in (0, 1]."""
+    _check_shape(a)
     if not (0.0 < y <= 1.0):
         raise ValueError(f"target must lie in (0, 1], got {y}")
-    if y == 1.0:
-        return 0.0
-    log_y = math.log(y)
-    lo = 0.0
-    hi = a + 10.0 * math.sqrt(a) + 10.0
-    while log_gamma_q(a, hi) > log_y:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("gamma_q_inv bracket ran away")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if log_gamma_q(a, mid) > log_y:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    # Newton on log Q: d/dx log Q = -exp((a-1) ln x - x - lgamma(a) - log Q)
-    for _ in range(3):
-        if x <= 0.0:
-            break
-        lq = log_gamma_q(a, x)
-        slope = -math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a) - lq)
-        if slope == 0.0:
-            break
-        step = (lq - log_y) / slope
-        x_new = x - step
-        if x_new <= lo or x_new >= hi:
-            break
-        x = x_new
-    return x
-
-
-# ---------------------------------------------------------------------------
-# error function pair
+    return float(scipy.special.gammainccinv(a, y))
 
 
 def erf(x):
-    """Error function via the regularized incomplete gamma pair."""
+    """Error function."""
     if not math.isfinite(x):
         raise ValueError(f"erf expects a finite argument, got {x}")
-    if x == 0.0:
-        return 0.0
-    sign = 1.0 if x > 0.0 else -1.0
-    x2 = x * x
-    if x2 < 1e-16:
-        # linear term is exact to machine precision; also dodges the
-        # log(0) underflow of the series prefactor
-        return 2.0 * x / math.sqrt(math.pi)
-    if x2 < 1.5:
-        return sign * _lower_series(0.5, x2)
-    if x2 > 750.0:
-        return sign * 1.0
-    return sign * (1.0 - math.exp(_log_upper_cf(0.5, x2)))
+    return float(scipy.special.erf(x))
 
 
 def erfc(x):
     """Complementary error function, accurate in the upper tail."""
     if not math.isfinite(x):
         raise ValueError(f"erfc expects a finite argument, got {x}")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x == 0.0:
-        return 1.0
-    x2 = x * x
-    if x2 < 1e-16:
-        return 1.0 - 2.0 * x / math.sqrt(math.pi)
-    if x2 < 1.5:
-        return 1.0 - _lower_series(0.5, x2)
-    if x2 > 750.0:
-        return 0.0
-    return math.exp(_log_upper_cf(0.5, x2))
-
-
-_SQRT_PI = math.sqrt(math.pi)
+    return float(scipy.special.erfc(x))
 
 
 def erf_inv(y):
-    """Inverse error function on (-1, 1).
-
-    Rational initial guess (normal-quantile approximation) refined by
-    safeguarded Newton iterations on erf.
-    """
+    """Inverse error function on (-1, 1)."""
     if not (-1.0 < y < 1.0):
         raise ValueError(f"erf_inv domain is (-1, 1), got {y}")
-    if y == 0.0:
-        return 0.0
-    sign = 1.0 if y > 0.0 else -1.0
-    y = abs(y)
-    # upper-tail normal quantile approximation, Hastings-style rational fit
-    p = 0.5 * (1.0 - y)
-    t = math.sqrt(-2.0 * math.log(p))
-    z = t - (2.30753 + 0.27061 * t) / (1.0 + 0.99229 * t + 0.04481 * t * t)
-    x = z / math.sqrt(2.0)
-    for _ in range(4):
-        if y > 0.5:
-            # erf(x) - y without cancellation near 1
-            f = erfc(x) - (1.0 - y)
-            f = -f
-        else:
-            f = erf(x) - y
-        # derivative 2/sqrt(pi) exp(-x^2)
-        x2 = x * x
-        if x2 > 700.0:
-            break
-        step = f * _SQRT_PI / 2.0 * math.exp(x2)
-        x -= step
-        if abs(step) < 1e-17 * max(abs(x), 1e-300):
-            break
-    return sign * x
+    return float(scipy.special.erfinv(y))

@@ -4,26 +4,10 @@ one reusable sparse factorization."""
 
 import numpy as np
 
-from .linalg import InnerProductSpace
-
 # refuse dense assembly above this source dimension
 DENSE_GUARD = 10_000
 # accepted deviation from orthonormality for a supplied kernel basis
 KERNEL_ORTHO_TOL = 1e-10
-
-
-def kernel_projection(vec, kernel_basis, quotient_gram):
-    """Remove the component of vec inside span(kernel_basis).
-
-    kernel_basis columns must be orthonormal in the quotient inner
-    product given by quotient_gram.
-    """
-    k = np.atleast_2d(kernel_basis.T).T
-    g = k.T @ (quotient_gram @ k)
-    if np.abs(g - np.eye(g.shape[0])).max() > KERNEL_ORTHO_TOL:
-        raise ValueError("kernel basis is not orthonormal in the "
-                         "quotient inner product")
-    return vec - k @ (k.T @ (quotient_gram @ vec))
 
 
 class DenseOperator:
@@ -48,16 +32,13 @@ class TransferOperator:
     """Boundary-data-to-interior-response map of an elliptic problem.
 
     Applying the operator scatters the source coefficients into the
-    Dirichlet rows of the factorized system, solves, restricts to the
-    range indices, and (optionally) removes the constant kernel component
-    of the operator, either on the full oversampling domain before
-    restriction (kernel_stage 'domain') or on the range region after it
-    (kernel_stage 'range').
+    Dirichlet rows of the factorized system, solves, and restricts to the
+    range indices.  Given a kernel_basis, orthonormal in quotient_gram, it
+    then removes that (constant) kernel component on the range region.
     """
 
     def __init__(self, factorization, source_ids, range_ids, source,
-                 range_space, kernel_stage="none", kernel_basis=None,
-                 quotient_gram=None):
+                 range_space, kernel_basis=None, quotient_gram=None):
         self.factorization = factorization
         self.n_total = factorization.shape[0]
         source_ids = np.asarray(source_ids, dtype=np.int64)
@@ -72,13 +53,9 @@ class TransferOperator:
         self.range_ids = range_ids
         self.source = source
         self.range_space = range_space
-        if kernel_stage not in ("none", "range", "domain"):
-            raise ValueError(f"unknown kernel stage {kernel_stage!r}")
-        self.kernel_stage = kernel_stage
-        if kernel_stage != "none":
-            if kernel_basis is None or quotient_gram is None:
-                raise ValueError("kernel stage needs a basis and a "
-                                 "quotient Gram matrix")
+        if kernel_basis is not None:
+            if quotient_gram is None:
+                raise ValueError("a kernel basis needs a quotient Gram matrix")
             kernel_basis = np.atleast_2d(np.asarray(kernel_basis, float).T).T
             g = kernel_basis.T @ (quotient_gram @ kernel_basis)
             if np.abs(g - np.eye(g.shape[0])).max() > KERNEL_ORTHO_TOL:
@@ -95,38 +72,22 @@ class TransferOperator:
     def n_range(self):
         return self.range_space.dim
 
-    def _project_kernel(self, v):
-        k = self.kernel_basis
-        return v - k @ (k.T @ (self.quotient_gram @ v))
-
     def apply(self, zeta):
         """Apply to one source coefficient vector."""
         zeta = np.asarray(zeta, dtype=float)
         if zeta.shape != (self.n_source,):
             raise ValueError("source coefficient vector has wrong length")
-        rhs = np.zeros(self.n_total)
-        rhs[self.source_ids] = zeta
-        x = self.factorization.solve(rhs)
-        if self.kernel_stage == "domain":
-            x = self._project_kernel(x)
-        v = x[self.range_ids]
-        if self.kernel_stage == "range":
-            v = self._project_kernel(v)
-        return v
+        return self.apply_block(zeta[:, None])[:, 0]
 
     def apply_block(self, block):
         """Apply to source coefficient columns in one multi-RHS solve."""
         block = np.asarray(block, dtype=float)
-        if block.ndim == 1:
-            return self.apply(block)
         rhs = np.zeros((self.n_total, block.shape[1]))
         rhs[self.source_ids] = block
-        x = self.factorization.solve(rhs)
-        if self.kernel_stage == "domain":
-            x = self._project_kernel(x)
-        v = x[self.range_ids]
-        if self.kernel_stage == "range":
-            v = self._project_kernel(v)
+        v = self.factorization.solve(rhs)[self.range_ids]
+        if self.kernel_basis is not None:
+            k = self.kernel_basis
+            v = v - k @ (k.T @ (self.quotient_gram @ v))
         return v
 
     def assemble_dense(self, guard=DENSE_GUARD, check_tol=1e-8):
@@ -161,7 +122,7 @@ class ResidualOperator:
         self.range_space = op.range_space
 
     def apply(self, zeta):
-        return self.basis.project_out(self.op.apply(zeta), sweeps=1)
+        return self.apply_block(np.asarray(zeta, dtype=float)[:, None])[:, 0]
 
     def apply_block(self, block):
         out = self.op.apply_block(block)
@@ -176,9 +137,3 @@ def constant_kernel_basis(quotient_gram):
     ones = np.ones(quotient_gram.shape[0])
     scale = np.sqrt(float(ones @ (quotient_gram @ ones)))
     return (ones / scale)[:, None]
-
-
-def euclidean_spaces(n_source, n_range):
-    """Convenience pair of identity-Gram spaces (used by tests)."""
-    return InnerProductSpace.euclidean(n_source), \
-        InnerProductSpace.euclidean(n_range)

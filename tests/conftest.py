@@ -1,10 +1,16 @@
 import os
+from pathlib import Path
 
 # One BLAS thread: the suite makes many tiny dense calls, and each pays a
 # thread wake-up under default threading.  Only effective before numpy is
 # first imported, which happens below.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+# the CLI tests run locmor in subprocesses, which import it from this
+# checkout as the suite itself does
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 import numpy as np
 import pytest

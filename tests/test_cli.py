@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locmor
 from locmor.cli import main
 from locmor.experiments import (EXPERIMENT_DEFAULTS, EXPERIMENT_IDS,
                                 ExperimentConfig, default_config,
@@ -44,6 +45,12 @@ def test_list_prints_all_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == EXPERIMENT_IDS
+
+
+def test_public_names_resolve():
+    assert len(set(locmor.__all__)) == len(locmor.__all__)
+    for name in locmor.__all__:
+        assert getattr(locmor, name) is not None, name
 
 
 def test_defaults_round_trip_all_experiments(capsys):
@@ -170,6 +177,37 @@ def test_config_rejects_bad_counts():
         assert value == want and type(value) is int
 
 
+def test_config_rejects_bad_list_and_real_params():
+    bad_params = {
+        "example1-hdep": [{"h_invs": [0]}, {"h_invs": [20, 2.5]},
+                          {"h_invs": 20}, {"n_values": [-1]}],
+        "example1-fixed": [{"n_values": [-1]}, {"n_values": ["2"]}],
+        "example1-effectivity": [{"n_t_values": [0]}, {"n": 0},
+                                 {"eps_testfail": 1.0}, {"eps_testfail": 0}],
+        "example1-adaptive": [{"tols": [-1e-2]}, {"tols": [0.0]},
+                              {"tols": [float("inf")]}, {"tols": [True]},
+                              {"eps_algofail": 1.5}],
+        "example1-cputable": [{"tol": 0.0}, {"tol": float("nan")},
+                              {"eps_algofail": 0.0}],
+        "example2-helmholtz": [{"kappas": [float("inf")]},
+                               {"kappas": ["10"]}, {"sigma_count": 0}],
+        "example4-gfem": [{"tols": [-1e-4]}, {"eps_algofail": "1e-15"}],
+    }
+    for experiment, cases in bad_params.items():
+        for params in cases:
+            (key,) = params
+            with pytest.raises(ValueError, match=f"params {key}"):
+                ExperimentConfig(experiment, params=params)
+    # list entries pass as given, except that integral floats become int
+    cfg = ExperimentConfig("example1-hdep",
+                           params={"h_invs": [20.0, 10], "n_values": [0]})
+    assert cfg.params["h_invs"] == [20, 10]
+    assert type(cfg.params["h_invs"][0]) is int
+    cfg = ExperimentConfig("example2-helmholtz",
+                           params={"kappas": [-1.0, 0, 12.5]})
+    assert cfg.params["kappas"] == [-1.0, 0, 12.5]
+
+
 def test_config_seed_range_keeps_stream_keys_below_2_128():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig("example1-fixed", seed=-1)
@@ -228,6 +266,14 @@ def test_console_script_and_error_exit_codes(tmp_path):
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "h_inv": "10"}},
         {**SMALL_FIXED, "experiment": "example4-gfem",
          "params": {"n_cells": 0}},
+        {**SMALL_FIXED, "experiment": "example1-hdep",
+         "params": {"h_invs": [0]}},
+        {**SMALL_ADAPTIVE, "params": {**SMALL_ADAPTIVE["params"],
+                                      "tols": [-1e-2]}},
+        {**SMALL_FIXED, "experiment": "example1-effectivity",
+         "params": {"n_t_values": [0]}},
+        {**SMALL_FIXED, "params": {**SMALL_FIXED["params"],
+                                   "n_values": [-1]}},
     ]
     out = tmp_path / "out"
     for args in (["--config", _write_config(tmp_path, bad, "bad.json")],

@@ -34,15 +34,17 @@ def test_boundary_tag_precedence():
     mesh = build_rect_mesh(
         (0, 1, 0, 1), 0.5,
         boundary_spec={"left": "gamma_out", "bottom": "sigma_D"})
+    # q1 nodes are the corner lattice, row j holds y = j * h
+    tags = mesh.node_tags.reshape(mesh.ny + 1, mesh.nx + 1)
     # corner (0,0) sits on both edges; gamma_out wins over sigma_D
-    assert mesh.node_tags[mesh.corner_index(0, 0)] == GAMMA_OUT
-    assert mesh.node_tags[mesh.corner_index(1, 0)] == SIGMA_D
-    assert mesh.node_tags[mesh.corner_index(2, 2)] == SIGMA_N
-    assert mesh.node_tags[mesh.corner_index(1, 1)] == 0
-    constrained = set(mesh.constrained_nodes.tolist())
-    assert mesh.corner_index(0, 2) in constrained
-    assert mesh.corner_index(2, 0) in constrained
-    assert mesh.corner_index(2, 1) not in constrained
+    assert tags[0, 0] == GAMMA_OUT
+    assert tags[0, 1] == SIGMA_D
+    assert tags[2, 2] == SIGMA_N
+    assert tags[1, 1] == 0
+    constrained = np.isin(np.arange(mesh.n_nodes), mesh.constrained_nodes)
+    constrained = constrained.reshape(tags.shape)
+    assert constrained[2, 0] and constrained[0, 2]
+    assert not constrained[1, 2]
 
 
 def test_nodes_on_line_sorted():

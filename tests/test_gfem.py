@@ -42,7 +42,7 @@ def test_interior_trace_count_fine_mesh():
     patch = GfemPatch(0, (4, 4), (0.4, 0.6, 0.4, 0.6),
                       (0.3, 0.7, 0.3, 0.7))
     _build_local_problem(mesh, pde, patch)
-    assert patch.n_source == 320
+    assert patch.source.dim == patch.source_ids.size == 320
 
 
 def test_nonconforming_patch_grid_raises():
@@ -80,13 +80,12 @@ def test_pou_pointwise_cases(toy_problem):
                 out.append(p.pou_weights[hit[0]])
         return out
 
-    # deep inside the core of the corner patch only one weight survives
-    lone = mesh.nodes_in_box((0.0, 0.05, 0.0, 0.05))
-    w = weights_at(int(lone[0]))
-    assert w == [1.0]
+    # node 0 is the mesh corner (0, 0), deep inside the core of the
+    # corner patch: only one weight survives
+    assert weights_at(0) == [1.0]
     # a node inside an overlap band crossing is covered by four patches
-    both = mesh.nodes_in_box((0.425, 0.425, 0.425, 0.425))
-    w = weights_at(int(both[0]))
+    crossing = np.abs(mesh.coords - [0.425, 0.425]).sum(axis=1).argmin()
+    w = weights_at(int(crossing))
     assert len(w) == 4
     assert all(0.0 < x < 1.0 for x in w)
     assert abs(sum(w) - 1.0) < 1e-12
@@ -159,7 +158,7 @@ def test_patch_spectra_decay(desk_uniform):
     # per patch kind: every spectrum crosses 1e-3 * sigma_1 between index
     # 13 (corners) and 29 (interior); by index 40 the worst ratio is 2e-5
     for patch in desk_uniform.patches:
-        data = weighted_svd(patch.dense_operator)
+        data = weighted_svd(patch.operator)
         assert data.sigma(20) <= 0.05 * data.sigma(1)
         assert data.sigma(40) <= 1e-3 * data.sigma(1)
 

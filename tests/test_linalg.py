@@ -4,12 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import locmor.linalg
+from locmor.gfem import GfemPatch, _build_local_problem
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            dense_svd, factorize, generalized_symmetric_eig,
-                           gram_extremal_eigenvalues, load_matrix_market,
-                           save_matrix_market)
+                           gram_extremal_eigenvalues)
 from locmor.fem import PdeSpec, assemble_system, build_rect_mesh
-from locmor.problems import build_interface_transfer
+from locmor.problems import build_gfem_mesh, build_interface_transfer, \
+    gfem_field
 from conftest import random_spd
 
 
@@ -89,6 +91,23 @@ def test_gram_extremal_with_kernel_skips_zero():
     assert abs(hi - 3.0) < 1e-8
 
 
+def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
+    # the power / inverse-iteration path, forced below its size limit
+    source = build_interface_transfer(20, 1.0, 2.0).source
+    pde, _ = gfem_field("channels")
+    patch = GfemPatch(0, (3, 3), (0.4, 0.6, 0.4, 0.6), (0.3, 0.7, 0.3, 0.7))
+    _build_local_problem(build_gfem_mesh(50), pde, patch)
+    energy = patch.range_space
+    assert energy.kernel is not None
+    for gram, kernel in ((source.gram, None), (energy.gram, energy.kernel)):
+        lo_dense, hi_dense = gram_extremal_eigenvalues(gram, kernel=kernel)
+        with monkeypatch.context() as m:
+            m.setattr(locmor.linalg, "DENSE_EIG_LIMIT", 0)
+            lo, hi = gram_extremal_eigenvalues(gram, kernel=kernel)
+        assert lo_dense * (1.0 - 1e-3) <= lo <= lo_dense
+        assert hi_dense <= hi <= hi_dense * (1.0 + 1e-3)
+
+
 def test_inner_product_space_rejects_asymmetric():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
@@ -152,18 +171,6 @@ def test_range_basis_extend_and_reject():
     assert len(basis) == 5
 
 
-def test_range_basis_project_out():
-    rng = np.random.default_rng(29)
-    gram = random_spd(rng, 10)
-    space = InnerProductSpace(gram)
-    basis = RangeBasis(space)
-    for k in range(4):
-        basis.extend(rng.standard_normal(10))
-    v = rng.standard_normal(10)
-    w = basis.project_out(v)
-    assert np.abs(basis.coefficients(w)).max() < 1e-12
-
-
 def test_range_basis_extend_block_matches_sequential():
     rng = np.random.default_rng(31)
     gram = random_spd(rng, 20)
@@ -205,19 +212,3 @@ def test_range_basis_orthonormal_property(k, seed):
         basis.extend(rng.standard_normal(16))
     if len(basis):
         assert _basis_orthonormality(basis) < 1e-10
-
-
-def test_matrix_market_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(41)
-    dense = rng.standard_normal((7, 5)) * np.exp(rng.uniform(-30, 30, (7, 5)))
-    p = tmp_path / "dense.mtx"
-    save_matrix_market(p, dense)
-    back = load_matrix_market(p)
-    assert np.array_equal(back, dense)
-
-    sparse = sp.random(40, 30, density=0.1, random_state=43, format="csr")
-    p2 = tmp_path / "sparse.mtx"
-    save_matrix_market(p2, sparse)
-    back2 = load_matrix_market(p2)
-    assert (back2 != sparse).nnz == 0
-    assert np.array_equal(back2.toarray(), sparse.toarray())

@@ -5,16 +5,15 @@ import pytest
 
 from locmor.linalg import InnerProductSpace, RangeBasis
 from locmor.oracle import (analytic_interface_sigma, operator_norm,
-                           spectral_rows, transfer_eigenproblem,
-                           weighted_svd)
+                           transfer_eigenproblem, weighted_svd)
 from locmor.problems import build_interface_transfer
 from locmor.rangefinder import projection_error
-from locmor.transfer import DenseOperator, euclidean_spaces
+from locmor.transfer import DenseOperator
 from conftest import random_spd
 
 
 def test_identity_operator_spectrum():
-    source, range_space = euclidean_spaces(6, 6)
+    source = range_space = InnerProductSpace.euclidean(6)
     op = DenseOperator(np.eye(6), source, range_space)
     for data in (transfer_eigenproblem(op), weighted_svd(op)):
         assert np.abs(data.sigmas - 1.0).max() < 1e-12
@@ -22,7 +21,7 @@ def test_identity_operator_spectrum():
 
 
 def test_diagonal_operator_spectrum():
-    source, range_space = euclidean_spaces(2, 2)
+    source = range_space = InnerProductSpace.euclidean(2)
     op = DenseOperator(np.diag([3.0, 1.0]), source, range_space)
     data = transfer_eigenproblem(op)
     assert np.abs(data.eigenvalues - [9.0, 1.0]).max() < 1e-12
@@ -83,7 +82,7 @@ def test_svd_orthonormality_properties():
 
 def test_rank_deficiency_clamps_noise():
     rng = np.random.default_rng(131)
-    source, range_space = euclidean_spaces(5, 5)
+    source = range_space = InnerProductSpace.euclidean(5)
     thin = rng.standard_normal((5, 2))
     op = DenseOperator(thin @ thin.T @ np.eye(5), source, range_space)
     data = transfer_eigenproblem(op)
@@ -93,7 +92,7 @@ def test_rank_deficiency_clamps_noise():
 
 
 def test_sigma_accessor():
-    source, range_space = euclidean_spaces(3, 3)
+    source = range_space = InnerProductSpace.euclidean(3)
     data = weighted_svd(DenseOperator(np.eye(3), source, range_space))
     assert data.sigma(1) == pytest.approx(1.0)
     assert data.sigma(7) == 0.0
@@ -140,9 +139,9 @@ def test_optimal_space_error_is_next_sigma():
 
 
 def test_operator_norm_and_rows():
-    source, range_space = euclidean_spaces(4, 4)
+    source = range_space = InnerProductSpace.euclidean(4)
     op = DenseOperator(np.diag([4.0, 2.0, 1.0, 0.5]), source, range_space)
     assert operator_norm(op) == pytest.approx(4.0)
-    rows = spectral_rows(weighted_svd(op), limit=2)
-    assert rows == [(1, pytest.approx(16.0), pytest.approx(4.0)),
-                    (2, pytest.approx(4.0), pytest.approx(2.0))]
+    data = weighted_svd(op)
+    assert data.eigenvalues[:2] == pytest.approx([16.0, 4.0])
+    assert data.sigmas[:2] == pytest.approx([4.0, 2.0])

@@ -5,14 +5,13 @@ import pytest
 
 from locmor.linalg import InnerProductSpace
 from locmor.problems import build_interface_transfer
-from locmor.rangefinder import (EstimatorParams, RngStream, a_priori_bound,
+from locmor.rangefinder import (RngStream, a_priori_bound,
                                 adaptive_randomized_range, c_eff, c_est,
                                 effectivity, fixed_rank_range, norm_estimate,
                                 projection_error)
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf
-from locmor.transfer import DenseOperator, TransferOperator, \
-    euclidean_spaces
+from locmor.transfer import DenseOperator, TransferOperator
 
 
 def test_rng_stream_reproducible():
@@ -64,35 +63,13 @@ def test_c_eff_grid_properties():
         c_eff(10, 1e-2, 10, 2.0, 1.0)
 
 
-def test_estimator_params_validation():
-    p = EstimatorParams(n_t=10, eps_testfail=1e-3, lambda_min=0.5)
-    assert p.n_o is None
-    EstimatorParams(n_t=10, eps_testfail=1e-3, lambda_min=0.5,
-                    eps_algofail=1e-2, n_t_bound=10)
-    with pytest.raises(ValueError):
-        EstimatorParams(n_t=0, eps_testfail=1e-3, lambda_min=0.5)
-    with pytest.raises(ValueError):
-        EstimatorParams(n_t=10, eps_testfail=2.0, lambda_min=0.5)
-    with pytest.raises(ValueError):
-        EstimatorParams(n_t=10, eps_testfail=1e-3, lambda_min=-1.0)
-    with pytest.raises(ValueError):
-        EstimatorParams(n_t=10, eps_testfail=1e-3, lambda_min=0.5,
-                        eps_algofail=1e-2, n_t_bound=20)
-    derived = EstimatorParams.from_algofail(
-        n_t=10, eps_algofail=1e-4, n_t_bound=40, lambda_min=1.0)
-    assert derived.eps_testfail == pytest.approx(2.5e-6)
-    with pytest.raises(ValueError):
-        EstimatorParams.from_algofail(n_t=10, eps_algofail=0.0,
-                                      n_t_bound=40, lambda_min=1.0)
-
-
 def _identity_op(n):
-    source, range_space = euclidean_spaces(n, n)
+    source = range_space = InnerProductSpace.euclidean(n)
     return DenseOperator(np.eye(n), source, range_space)
 
 
 def test_norm_estimate_basics():
-    source, range_space = euclidean_spaces(6, 6)
+    source = range_space = InnerProductSpace.euclidean(6)
     zero = DenseOperator(np.zeros((6, 6)), source, range_space)
     assert norm_estimate(zero, 5, 1e-3, RngStream(3)) == 0.0
     op = _identity_op(6)
@@ -119,12 +96,12 @@ def test_test_vector_norms_shape():
 
 
 def _decaying_op(n, decay=0.5):
-    source, range_space = euclidean_spaces(n, n)
+    source = range_space = InnerProductSpace.euclidean(n)
     return DenseOperator(np.diag(decay ** np.arange(n)), source, range_space)
 
 
 def test_adaptive_rank_one():
-    source, range_space = euclidean_spaces(7, 7)
+    source = range_space = InnerProductSpace.euclidean(7)
     rng = np.random.default_rng(17)
     u = rng.standard_normal(7)
     v = rng.standard_normal(7)
@@ -139,7 +116,7 @@ def test_adaptive_rank_one():
 
 
 def test_adaptive_zero_operator():
-    source, range_space = euclidean_spaces(5, 5)
+    source = range_space = InnerProductSpace.euclidean(5)
     op = DenseOperator(np.zeros((5, 5)), source, range_space)
     basis = adaptive_randomized_range(op, tol=1e-10, n_t=4,
                                       eps_algofail=1e-10, rng=RngStream(29))
@@ -160,7 +137,7 @@ def test_adaptive_estimates_decrease_and_count():
 
 def test_adaptive_exhaustion_paths():
     rng = np.random.default_rng(37)
-    source, range_space = euclidean_spaces(9, 9)
+    source = range_space = InnerProductSpace.euclidean(9)
     thin = rng.standard_normal((9, 2))
     op = DenseOperator(thin @ thin.T, source, range_space)
     # unreachable tolerance, rank 2: consecutive rejected draws abort

@@ -2,15 +2,12 @@ import concurrent.futures
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from locmor.fem import assemble_mass
 from locmor.linalg import InnerProductSpace
 from locmor.oracle import weighted_svd
 from locmor.problems import build_interface_transfer
 from locmor.transfer import (DenseOperator, ResidualOperator,
-                             TransferOperator, constant_kernel_basis,
-                             euclidean_spaces, kernel_projection)
+                             TransferOperator, constant_kernel_basis)
 
 
 @pytest.fixture(scope="module")
@@ -48,62 +45,36 @@ def test_symmetric_data_gives_symmetric_response(small_op):
 
 
 def test_kernel_projection_identities():
-    rng = np.random.default_rng(71)
-    gram = sp.csr_matrix(np.diag(rng.uniform(0.5, 2.0, 12)))
-    eta = constant_kernel_basis(gram)
-    # eta itself projects to zero
-    assert np.abs(kernel_projection(eta[:, 0], eta, gram)).max() < 1e-14
-    v = rng.standard_normal(12)
-    w = kernel_projection(v, eta, gram)
-    # result is quotient-orthogonal to eta and idempotent
-    assert abs(eta[:, 0] @ (gram @ w)) < 1e-12 * np.abs(v).max()
-    again = kernel_projection(w, eta, gram)
-    assert np.abs(again - w).max() < 1e-13
-    # orthogonal vectors pass through unchanged
-    assert np.abs(kernel_projection(w, eta, gram) - w).max() < 1e-13
-    # eta1 + w recovers w
-    back = kernel_projection(eta[:, 0] * 2.5 + w, eta, gram)
-    assert np.abs(back - w).max() < 1e-12
-
-    with pytest.raises(ValueError):
-        kernel_projection(v, eta * 3.0, gram)
-
-
-def test_kernel_stage_removes_constants():
     base = build_interface_transfer(h_inv=8)
-    mesh = base.mesh
     range_gram = base.range_space.gram
-    eta_r = constant_kernel_basis(range_gram)
-    ranged = TransferOperator(
-        base.factorization, base.source_ids, base.range_ids, base.source,
-        base.range_space, kernel_stage="range", kernel_basis=eta_r,
-        quotient_gram=range_gram)
-    out = ranged.apply(np.ones(base.n_source))
-    assert np.abs(out).max() < 1e-10
+    eta = constant_kernel_basis(range_gram)
 
-    mass = assemble_mass(mesh)
-    eta_d = constant_kernel_basis(mass)
-    domained = TransferOperator(
-        base.factorization, base.source_ids, base.range_ids, base.source,
-        base.range_space, kernel_stage="domain", kernel_basis=eta_d,
-        quotient_gram=mass)
-    out = domained.apply(np.ones(base.n_source))
-    assert np.abs(out).max() < 1e-10
+    def with_kernel(kernel_basis, quotient_gram=range_gram):
+        return TransferOperator(
+            base.factorization, base.source_ids, base.range_ids,
+            base.source, base.range_space, kernel_basis=kernel_basis,
+            quotient_gram=quotient_gram)
 
-    # generic data: the range-stage output is quotient-orthogonal to eta
+    op = with_kernel(eta)
+    assert np.abs(op.apply(np.ones(base.n_source))).max() < 1e-10
+    # generic data: the output is quotient-orthogonal to eta, and the
+    # operator is the plain one followed by the quotient projection
     rng = np.random.default_rng(73)
     z = rng.standard_normal(base.n_source)
-    v = ranged.apply(z)
-    assert abs(eta_r[:, 0] @ (range_gram @ v)) < 1e-12 * np.abs(v).max()
+    v = op.apply(z)
+    assert abs(eta[:, 0] @ (range_gram @ v)) < 1e-12 * np.abs(v).max()
+    plain = base.apply(z)
+    projected = plain - eta[:, 0] * (eta[:, 0] @ (range_gram @ plain))
+    assert np.abs(v - projected).max() < 1e-13 * np.abs(plain).max()
+    # block columns match the single applies
+    block = op.apply_block(np.column_stack([z, np.ones(base.n_source)]))
+    assert np.abs(block[:, 0] - v).max() < 1e-13 * np.abs(v).max()
+    assert np.abs(block[:, 1]).max() < 1e-10
 
-    with pytest.raises(ValueError):
-        TransferOperator(base.factorization, base.source_ids,
-                         base.range_ids, base.source, base.range_space,
-                         kernel_stage="range")
-    with pytest.raises(ValueError):
-        TransferOperator(base.factorization, base.source_ids,
-                         base.range_ids, base.source, base.range_space,
-                         kernel_stage="sideways")
+    with pytest.raises(ValueError, match="quotient Gram"):
+        with_kernel(eta, quotient_gram=None)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        with_kernel(eta * 3.0)
 
 
 def test_assemble_dense_consistency(small_op):
@@ -171,7 +142,8 @@ def test_residual_operator_projects(small_op):
     z = rng.standard_normal(small_op.n_source)
     out = res.apply(z)
     # residual image has no component along the basis
-    assert np.abs(basis.coefficients(out)).max() < 1e-10
+    b = basis.matrix
+    assert np.abs(b.T @ (small_op.range_space.gram @ out)).max() < 1e-10
     block = res.apply_block(np.column_stack([z, 2.0 * z]))
     assert np.abs(block[:, 0] - out).max() < 1e-11
 
@@ -180,7 +152,8 @@ def test_residual_operator_projects(small_op):
 
 
 def test_operator_validation():
-    source, range_space = euclidean_spaces(4, 3)
+    source = InnerProductSpace.euclidean(4)
+    range_space = InnerProductSpace.euclidean(3)
     mat = np.zeros((3, 4))
     op = DenseOperator(mat, source, range_space)
     assert np.abs(op.apply(np.ones(4))).max() == 0.0
