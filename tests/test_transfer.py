@@ -44,25 +44,40 @@ def test_symmetric_data_gives_symmetric_response(small_op):
     assert np.abs(out - out[::-1]).max() < 1e-11
 
 
-def test_kernel_projection_identities():
+def _with_kernel(base, kernel_basis, quotient_gram):
+    return TransferOperator(
+        base.factorization, base.source_ids, base.range_ids, base.source,
+        base.range_space, kernel_basis=kernel_basis,
+        quotient_gram=quotient_gram)
+
+
+def test_kernel_stage_removes_constants():
     base = build_interface_transfer(h_inv=8)
     range_gram = base.range_space.gram
     eta = constant_kernel_basis(range_gram)
-
-    def with_kernel(kernel_basis, quotient_gram=range_gram):
-        return TransferOperator(
-            base.factorization, base.source_ids, base.range_ids,
-            base.source, base.range_space, kernel_basis=kernel_basis,
-            quotient_gram=quotient_gram)
-
-    op = with_kernel(eta)
+    op = _with_kernel(base, eta, range_gram)
     assert np.abs(op.apply(np.ones(base.n_source))).max() < 1e-10
-    # generic data: the output is quotient-orthogonal to eta, and the
-    # operator is the plain one followed by the quotient projection
+    block = op.apply_block(np.ones((base.n_source, 2)))
+    assert np.abs(block).max() < 1e-10
+    # generic data: the output is quotient-orthogonal to eta
     rng = np.random.default_rng(73)
     z = rng.standard_normal(base.n_source)
     v = op.apply(z)
     assert abs(eta[:, 0] @ (range_gram @ v)) < 1e-12 * np.abs(v).max()
+
+    with pytest.raises(ValueError, match="quotient Gram"):
+        _with_kernel(base, eta, None)
+
+
+def test_kernel_projection_identities():
+    base = build_interface_transfer(h_inv=8)
+    range_gram = base.range_space.gram
+    eta = constant_kernel_basis(range_gram)
+    op = _with_kernel(base, eta, range_gram)
+    # the operator is the plain one followed by the quotient projection
+    rng = np.random.default_rng(79)
+    z = rng.standard_normal(base.n_source)
+    v = op.apply(z)
     plain = base.apply(z)
     projected = plain - eta[:, 0] * (eta[:, 0] @ (range_gram @ plain))
     assert np.abs(v - projected).max() < 1e-13 * np.abs(plain).max()
@@ -71,10 +86,8 @@ def test_kernel_projection_identities():
     assert np.abs(block[:, 0] - v).max() < 1e-13 * np.abs(v).max()
     assert np.abs(block[:, 1]).max() < 1e-10
 
-    with pytest.raises(ValueError, match="quotient Gram"):
-        with_kernel(eta, quotient_gram=None)
     with pytest.raises(ValueError, match="not orthonormal"):
-        with_kernel(eta * 3.0)
+        _with_kernel(base, eta * 3.0, range_gram)
 
 
 def test_assemble_dense_consistency(small_op):
