@@ -67,7 +67,10 @@ INTEGER_PARAMS = {"runs": 1, "n_t": 1, "h_inv": 1, "n_cells": 1, "n": 1,
 # real parameters (lists: each entry) and the open interval they lie in
 REAL_PARAMS = {"tol": (0.0, math.inf), "tols": (0.0, math.inf),
                "kappas": (-math.inf, math.inf), "eps_algofail": (0.0, 1.0),
-               "eps_testfail": (0.0, 1.0)}
+               "eps_testfail": (0.0, 1.0), "length": (0.0, math.inf),
+               "width": (0.0, math.inf)}
+# name parameters (lists: each entry) and the names they may take
+CHOICE_PARAMS = {"fields": ("uniform", "channels")}
 
 
 def _check_integer(name, value, minimum):
@@ -92,6 +95,30 @@ def _check_real(name, value, lo, hi):
         raise ValueError(
             f"{name} must be a finite number in ({lo}, {hi}), got {value!r}")
     return value
+
+
+def _check_choice(name, value, choices):
+    """Raise ValueError unless value is one of choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(
+            f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _check_on_grid(merged):
+    """Raise ValueError unless length and width are integer multiples of
+    every mesh spacing 1 / h_inv, so the far edges and the mid line
+    x = 0 of the channel are mesh lines."""
+    if "length" not in merged:
+        return
+    h_invs = merged["h_invs"] if "h_invs" in merged else [merged["h_inv"]]
+    for key in ("length", "width"):
+        for h_inv in h_invs:
+            cells = merged[key] * h_inv
+            if abs(cells - round(cells)) > 1e-6:
+                raise ValueError(
+                    f"params {key} must be an integer multiple of "
+                    f"h = 1/{h_inv}, got {merged[key]!r}")
 
 
 def _check_param(key, value, default, check, *bounds):
@@ -152,6 +179,10 @@ class ExperimentConfig:
             elif key in REAL_PARAMS:
                 merged[key] = _check_param(key, value, defaults[key],
                                            _check_real, *REAL_PARAMS[key])
+            elif key in CHOICE_PARAMS:
+                merged[key] = _check_param(key, value, defaults[key],
+                                           _check_choice, CHOICE_PARAMS[key])
+        _check_on_grid(merged)
         self.params = merged
         # RngStream keys must lie below 2**128 (Philox).  Run i draws from
         # key seed + i, except in example4-gfem: gfem_run keys its patch

@@ -331,10 +331,9 @@ def assemble_system(mesh, pde, constrain=True):
     return mat.tocsr()
 
 
-def assemble_mass(mesh, element_ids=None):
-    """Consistent L2 mass matrix (optionally over an element subset)."""
-    rows, cols, data = _element_entries(mesh, PdeSpec(), element_ids,
-                                        what="mass")
+def assemble_mass(mesh):
+    """Consistent L2 mass matrix."""
+    rows, cols, data = _element_entries(mesh, PdeSpec(), what="mass")
     mat = sp.coo_matrix((data, (rows, cols)),
                         shape=(mesh.n_nodes, mesh.n_nodes))
     return mat.tocsr()

@@ -13,9 +13,16 @@ from . import fem
 from .fem import GAMMA_OUT, build_rect_mesh, path_l2_gram
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
-from .transfer import TransferOperator, constant_kernel_basis
+from .transfer import TransferOperator
 
 _TOL = 1e-9
+# patch cover: cores of side CORE on a grid of spacing STRIDE, each
+# oversampled by OVERLAP in every interior direction
+CORE = 0.2
+STRIDE = 0.1
+OVERLAP = 0.1
+# accepted deviation of the summed partition-of-unity weights from one
+POU_TOL = 1e-12
 
 
 class GfemPatch:
@@ -78,38 +85,37 @@ def _lattice_ids(global_mesh, coords, is_center):
     return j * (global_mesh.nx + 1) + i
 
 
-def build_patches(global_mesh, pde, core=0.2, stride=0.1, overlap=0.1):
+def build_patches(global_mesh, pde):
     """Cover the global rectangle with overlapping square patches.
 
-    Cores of side `core` placed on a grid of spacing `stride`;
-    oversampling extends each core by `overlap` in every interior
-    direction.  Local meshes, trace/energy spaces, and factorized
-    transfer operators are built per patch.
+    Cores of side CORE placed on a grid of spacing STRIDE; oversampling
+    extends each core by OVERLAP in every interior direction.  Local
+    meshes, trace/energy spaces, and factorized transfer operators are
+    built per patch.
     """
     x0, x1, y0, y1 = global_mesh.bounds
-    h = global_mesh.h
-    n_steps = int(round((x1 - x0 - core) / stride)) + 1
-    m_steps = int(round((y1 - y0 - core) / stride)) + 1
-    if abs((n_steps - 1) * stride + core - (x1 - x0)) > _TOL:
+    n_steps = int(round((x1 - x0 - CORE) / STRIDE)) + 1
+    m_steps = int(round((y1 - y0 - CORE) / STRIDE)) + 1
+    if abs((n_steps - 1) * STRIDE + CORE - (x1 - x0)) > _TOL:
         raise ValueError("patch grid does not tile the domain")
 
     patches = []
     pid = 0
     for jy in range(m_steps):
         for ix in range(n_steps):
-            cx0 = x0 + ix * stride
-            cy0 = y0 + jy * stride
-            core_box = (cx0, cx0 + core, cy0, cy0 + core)
-            over_box = (max(x0, cx0 - overlap),
-                        min(x1, cx0 + core + overlap),
-                        max(y0, cy0 - overlap),
-                        min(y1, cy0 + core + overlap))
+            cx0 = x0 + ix * STRIDE
+            cy0 = y0 + jy * STRIDE
+            core_box = (cx0, cx0 + CORE, cy0, cy0 + CORE)
+            over_box = (max(x0, cx0 - OVERLAP),
+                        min(x1, cx0 + CORE + OVERLAP),
+                        max(y0, cy0 - OVERLAP),
+                        min(y1, cy0 + CORE + OVERLAP))
             patches.append(GfemPatch(pid, (ix, jy), core_box, over_box))
             pid += 1
 
     for patch in patches:
         _build_local_problem(global_mesh, pde, patch)
-    _attach_pou(patches, global_mesh, stride, core, overlap)
+    _attach_pou(patches)
     return patches
 
 
@@ -162,26 +168,15 @@ def _build_local_problem(global_mesh, pde, patch):
                                or abs(cx1 - gx1) <= _TOL
                                or abs(cy0 - gy0) <= _TOL
                                or abs(cy1 - gy1) <= _TOL)
-    # away from the global boundary constants are flat in the energy
-    # product and are removed from the operator in the L2 quotient
-    kernel = kernel_basis = quotient_gram = None
-    if not patch.touches_dirichlet:
-        ones = np.ones(range_ids.size)
-        kernel = (ones / np.linalg.norm(ones))[:, None]
-        kernel_basis = constant_kernel_basis(mass_gram)
-        quotient_gram = mass_gram
-    patch.range_space = InnerProductSpace(energy_gram, definite=False,
-                                          kernel=kernel)
+    patch.range_space = InnerProductSpace(energy_gram, definite=False)
     patch.operator = TransferOperator(
         factorization, patch.source_ids, range_ids, patch.source,
-        patch.range_space, kernel_basis=kernel_basis,
-        quotient_gram=quotient_gram)
+        patch.range_space)
 
 
-def _attach_pou(patches, global_mesh, stride, core, overlap):
-    ramp = core - stride
-    if ramp <= 0:
-        ramp = max(overlap, global_mesh.h)
+def _attach_pou(patches):
+    # the weights ramp over the band where neighbouring cores overlap
+    ramp = CORE - STRIDE
     n_steps = max(p.grid_pos[0] for p in patches) + 1
     m_steps = max(p.grid_pos[1] for p in patches) + 1
     for patch in patches:
@@ -195,7 +190,7 @@ def _attach_pou(patches, global_mesh, stride, core, overlap):
         patch.pou_weights = wx * wy
 
 
-def partition_of_unity(patches, global_mesh, tol=1e-12):
+def partition_of_unity(patches, global_mesh):
     """Accumulate the patch weights globally and verify they sum to one.
 
     Returns the (n_nodes,) sum vector.
@@ -205,7 +200,7 @@ def partition_of_unity(patches, global_mesh, tol=1e-12):
         gids = patch.local_to_global[patch.range_ids]
         np.add.at(total, gids, patch.pou_weights)
     defect = np.abs(total - 1.0).max()
-    if defect > tol:
+    if defect > POU_TOL:
         raise ValueError(f"partition of unity defect {defect:.3e}; "
                          "the cover leaves gaps")
     return total
@@ -224,22 +219,20 @@ def cover_overlap_bound(patches, global_mesh):
     return int(counts.max())
 
 
-def tolerance_cascade(tol_gfem, patch_energies, c_pou, ramp_scale=1.0):
+def tolerance_cascade(tol_gfem, patch_energies, c_pou):
     """Split a global relative energy target into per-patch absolute
     local energy targets.
 
-    tau_i = tol_gfem * E_i / (c_pou * sqrt(m) * g) with E_i the reference
-    solution energy on the oversampled patch, m the patch count, and g
-    the gradient scaling of the cover (1 for ramps that span their own
-    overlap width).  Heuristic by construction; the contract is the
-    empirical one (global error below tol_gfem).
+    tau_i = tol_gfem * E_i / (c_pou * sqrt(m)) with E_i the reference
+    solution energy on the oversampled patch and m the patch count.
+    Heuristic by construction; the contract is the empirical one (global
+    error below tol_gfem).
     """
     if tol_gfem <= 0.0:
         raise ValueError("tolerance must be positive")
     energies = np.asarray(patch_energies, dtype=float)
     m = energies.size
-    g = max(1.0, ramp_scale)
-    return tol_gfem * energies / (c_pou * np.sqrt(m) * g)
+    return tol_gfem * energies / (c_pou * np.sqrt(m))
 
 
 @dataclass
@@ -263,7 +256,7 @@ class LocalReducedSpace:
         return self.random_basis.evaluations
 
 
-def local_space(patch, tol, n_t, eps_algofail, rng, u_f=None):
+def local_space(patch, tol, n_t, eps_algofail, rng, u_f):
     """Run the adaptive rangefinder on one patch and augment the basis.
 
     tol is the absolute operator-norm tolerance for the patch transfer
@@ -276,9 +269,7 @@ def local_space(patch, tol, n_t, eps_algofail, rng, u_f=None):
     l2_space = InnerProductSpace(patch.core_mass)
     combined = RangeBasis(l2_space)
     combined.extend_block(basis.matrix)
-    includes_data = False
-    if u_f is not None:
-        includes_data = combined.extend(u_f)
+    includes_data = combined.extend(u_f)
     includes_kernel = False
     if not patch.touches_dirichlet:
         includes_kernel = combined.extend(np.ones(patch.n_range))
@@ -295,9 +286,7 @@ class GfemProblem:
 
     mesh: object
     pde: object
-    source_fn: object
     patches: list
-    system: object
     stiffness_raw: object
     load: np.ndarray
     truth: np.ndarray
@@ -337,8 +326,7 @@ class _Coupling:
                 self.pairs[(i, j)] = rows[:, self.kept_gids[j]].tocsr()
 
 
-def build_gfem_problem(mesh, pde, source_fn, core=0.2, stride=0.1,
-                       overlap=0.1):
+def build_gfem_problem(mesh, pde, source_fn):
     """Assemble the global problem, the truth solve, and all patches."""
     system = fem.assemble_system(mesh, pde, constrain=True)
     stiffness_raw = fem.assemble_system(mesh, pde, constrain=False)
@@ -346,8 +334,7 @@ def build_gfem_problem(mesh, pde, source_fn, core=0.2, stride=0.1,
     truth = factorize(system).solve(load)
     truth_energy = float(np.sqrt(truth @ (stiffness_raw @ truth)))
 
-    patches = build_patches(mesh, pde, core=core, stride=stride,
-                            overlap=overlap)
+    patches = build_patches(mesh, pde)
     partition_of_unity(patches, mesh)
     c_pou = cover_overlap_bound(patches, mesh)
 
@@ -357,9 +344,16 @@ def build_gfem_problem(mesh, pde, source_fn, core=0.2, stride=0.1,
         # form amortizes the local solves across runs and frees the
         # factorization
         patch.operator = patch.operator.assemble_dense()
+        if not patch.touches_dirichlet:
+            # constants are flat in the energy product, so the operator
+            # maps into the range modulo constants: each image loses its
+            # core-L2 projection onto the constant
+            ones = np.ones(patch.n_range)
+            k = (ones / np.sqrt(ones @ (patch.core_mass @ ones)))[:, None]
+            m = patch.operator.matrix
+            patch.operator.matrix = m - k @ (k.T @ (patch.core_mass @ m))
     coupling = _Coupling(mesh, stiffness_raw, patches)
-    return GfemProblem(mesh=mesh, pde=pde, source_fn=source_fn,
-                       patches=patches, system=system,
+    return GfemProblem(mesh=mesh, pde=pde, patches=patches,
                        stiffness_raw=stiffness_raw, load=load, truth=truth,
                        truth_energy=truth_energy, c_pou=c_pou,
                        coupling=coupling)

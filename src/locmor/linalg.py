@@ -120,75 +120,32 @@ def _certify(lo, hi):
     return lo, hi
 
 
-def _power_iteration(matvec, n, rng, tol=1e-10, maxit=20000):
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(maxit):
-        w = matvec(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, 0.0
-        v_new = w / nw
-        rho_new = float(v_new @ matvec(v_new))
-        if abs(rho_new - rho) <= tol * abs(rho_new):
-            resid = np.linalg.norm(matvec(v_new) - rho_new * v_new)
-            return rho_new, resid
-        rho, v = rho_new, v_new
-    resid = np.linalg.norm(matvec(v) - rho * v)
-    return rho, resid
+def _eigsh_extreme(gram, v0, **kwargs):
+    """One Ritz pair of eigsh and the norm of its residual."""
+    theta, vec = spla.eigsh(gram, k=1, v0=v0, **kwargs)
+    v = vec[:, 0]
+    return float(theta[0]), float(np.linalg.norm(gram @ v - theta[0] * v))
 
 
-def gram_extremal_eigenvalues(gram, kernel=None):
+def gram_extremal_eigenvalues(gram):
     """Certified extremal eigenvalues (lo, hi) of a symmetric Gram matrix.
 
-    `kernel` is an optional euclidean-orthonormal (n, k) nullspace basis;
-    when given, the minimum is taken over its orthogonal complement.
-    Below DENSE_EIG_LIMIT a dense eigensolve is used; above, power
-    iteration (max) and inverse iteration through a bordered sparse
-    factorization (min). lo is rounded down, hi rounded up.
+    Below DENSE_EIG_LIMIT a dense eigensolve is used; above, Lanczos
+    (eigsh) for the largest and shift-invert Lanczos about 0 for the
+    smallest, each widened by its residual norm ||G v - theta v||.  A
+    fixed start vector makes the result reproducible.  lo is rounded
+    down, hi rounded up.
     """
     n = gram.shape[0]
-    kdim = 0 if kernel is None else kernel.shape[1]
     if n <= DENSE_EIG_LIMIT:
-        dense = _as_2d_array(gram)
-        lam = scipy.linalg.eigh(dense, eigvals_only=True)
-        lam_max = float(lam[-1])
-        # kernel eigenvalues sit at the bottom (possibly as rounding noise)
-        lam_min = float(lam[kdim])
-        return _certify(lam_min, lam_max)
+        lam = scipy.linalg.eigh(_as_2d_array(gram), eigvals_only=True)
+        return _certify(float(lam[0]), float(lam[-1]))
 
-    gram = sp.csr_matrix(gram)
-    rng = np.random.default_rng(20_240_401)
-    lam_max, resid_max = _power_iteration(lambda v: gram @ v, n, rng)
-    hi = lam_max + resid_max
-
-    if kernel is None:
-        fact = factorize(gram)
-        solve = fact.solve
-    else:
-        # bordered system pins iterates to the kernel complement
-        k = sp.csc_matrix(kernel)
-        bordered = sp.bmat(
-            [[gram, k], [k.T, None]], format="csc")
-        fact = factorize(bordered)
-
-        def solve(b):
-            rhs = np.concatenate([b, np.zeros(kdim)])
-            return fact.solve(rhs)[:n]
-
-    def inv_matvec(v):
-        if kernel is not None:
-            v = v - kernel @ (kernel.T @ v)
-        return solve(v)
-
-    mu, resid_inv = _power_iteration(inv_matvec, n, rng)
-    if mu <= 0.0:
-        raise np.linalg.LinAlgError("inverse iteration failed on Gram matrix")
-    lam_min = 1.0 / mu
-    # residual of the inverse problem maps to a relative margin on lam_min
-    lo = lam_min * (1.0 - min(0.5, resid_inv * lam_min * mu))
-    return _certify(lo, hi)
+    gram = sp.csc_matrix(gram)
+    v0 = np.random.default_rng(20_240_401).standard_normal(n)
+    theta_max, resid_max = _eigsh_extreme(gram, v0, which="LA")
+    theta_min, resid_min = _eigsh_extreme(gram, v0, sigma=0.0)
+    return _certify(theta_min - resid_min, theta_max + resid_max)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +156,10 @@ class InnerProductSpace:
     """A discrete function space with a (semi)definite Gram matrix.
 
     The Gram matrix is stored unregularized.  For semidefinite energy
-    products pass definite=False and, if known, a euclidean-orthonormal
-    `kernel` basis; extremal eigenvalues are then taken over the kernel
-    complement.
+    products pass definite=False.
     """
 
-    def __init__(self, gram, definite=True, kernel=None):
+    def __init__(self, gram, definite=True):
         if sp.issparse(gram):
             gram = sp.csr_matrix(gram)
             asym = abs(gram - gram.T).max()
@@ -218,7 +173,6 @@ class InnerProductSpace:
         self.gram = gram
         self.dim = gram.shape[0]
         self.definite = definite
-        self.kernel = kernel
         self._extremes = None
         self._chol = None
 
@@ -242,8 +196,7 @@ class InnerProductSpace:
 
     def extremal_eigenvalues(self):
         if self._extremes is None:
-            self._extremes = gram_extremal_eigenvalues(
-                self.gram, kernel=self.kernel)
+            self._extremes = gram_extremal_eigenvalues(self.gram)
         return self._extremes
 
     @property
@@ -339,11 +292,11 @@ class RangeBasis:
             self._append(q[:, k])
         return q.shape[1]
 
-    def extend(self, v, theta=REORTH_THRESHOLD, drop_tol=DROP_TOL):
+    def extend(self, v):
         """Orthonormalize v against the basis and append it.
 
         Returns True when accepted, False when v is numerically in the
-        span already (norm fell below drop_tol times the incoming norm).
+        span already (norm fell below DROP_TOL times the incoming norm).
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.space.dim,):
@@ -358,12 +311,12 @@ class RangeBasis:
             b = self.matrix
             w = w - b @ (b.T @ self.space.apply_gram(w))
             norm1 = self.space.norm(w)
-            if norm1 < theta * norm0:
+            if norm1 < REORTH_THRESHOLD * norm0:
                 w = w - b @ (b.T @ self.space.apply_gram(w))
                 norm1 = self.space.norm(w)
         else:
             norm1 = norm0
-        if norm1 <= drop_tol * norm0:
+        if norm1 <= DROP_TOL * norm0:
             return False
         self._append(w / norm1)
         return True

@@ -16,12 +16,10 @@ import numpy as np
 from .linalg import RangeBasis
 from .oracle import weighted_svd, _matrix_of
 from .special import erf_inv, gamma_q_inv
-from .transfer import DenseOperator, ResidualOperator
+from .transfer import DenseOperator
 
 # consecutive rejected draws before declaring rank exhaustion
 MAX_CONSECUTIVE_REJECTS = 5
-# effectivity is undefined once the true error sits at the noise floor
-EFFECTIVITY_FLOOR_RTOL = 1e-13
 
 
 class RngStream:
@@ -106,9 +104,7 @@ def norm_estimate(op, n_t, eps_testfail, rng):
     return c * float(norms.max())
 
 
-def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng,
-                              n_t_bound=None,
-                              max_rejects=MAX_CONSECUTIVE_REJECTS):
+def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
     """Grow a range basis until the residual norm estimate is <= tol.
 
     Test vectors are drawn once, reused across iterations, and kept
@@ -116,15 +112,16 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng,
     is <= tol with probability at least 1 - eps_algofail.  Exactly
     len(basis) + n_t operator evaluations are spent unless draws get
     rejected near rank exhaustion (each rejected draw still counts, and
-    max_rejects consecutive rejections abort with the exhausted flag).
+    MAX_CONSECUTIVE_REJECTS consecutive rejections abort with the
+    exhausted flag).  The basis is also exhausted once it reaches
+    min(source dim, range dim) columns.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if not 0.0 < eps_algofail < 1.0:
         raise ValueError("eps_algofail must lie in (0, 1)")
     n_s = op.source.dim
-    if n_t_bound is None:
-        n_t_bound = min(n_s, op.range_space.dim)
+    n_t_bound = min(n_s, op.range_space.dim)
     eps_testfail = eps_algofail / n_t_bound
     c = c_est(n_t, eps_testfail, op.source.lambda_min)
 
@@ -151,7 +148,7 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng,
         basis.evaluations += 1
         if not basis.extend(draw):
             rejects += 1
-            if rejects >= max_rejects:
+            if rejects >= MAX_CONSECUTIVE_REJECTS:
                 basis.exhausted = True
                 break
             continue
@@ -220,19 +217,3 @@ def a_priori_bound(sigmas, n, lambda_s_min, lambda_s_max, lambda_r_min,
     factor = math.sqrt((lambda_r_max / lambda_r_min)
                        * (lambda_s_max / lambda_s_min))
     return factor * best
-
-
-def effectivity(op, basis, n_t, eps_testfail, rng):
-    """Ratio of the norm estimate to the true residual norm.
-
-    Raises once the true error is at the numerical noise floor relative
-    to the operator norm.
-    """
-    true_error = projection_error(op, basis)
-    top = weighted_svd(op).sigma(1)
-    if true_error < EFFECTIVITY_FLOOR_RTOL * top:
-        raise ArithmeticError(
-            "effectivity undefined: residual at the noise floor")
-    residual = ResidualOperator(op, basis)
-    delta = norm_estimate(residual, n_t, eps_testfail, rng)
-    return delta / true_error

@@ -188,16 +188,31 @@ def test_config_rejects_bad_list_and_real_params():
                               {"tols": [float("inf")]}, {"tols": [True]},
                               {"eps_algofail": 1.5}],
         "example1-cputable": [{"tol": 0.0}, {"tol": float("nan")},
-                              {"eps_algofail": 0.0}],
+                              {"eps_algofail": 0.0}, {"length": -1},
+                              {"width": 0}, {"width": float("nan")}],
         "example2-helmholtz": [{"kappas": [float("inf")]},
                                {"kappas": ["10"]}, {"sigma_count": 0}],
-        "example4-gfem": [{"tols": [-1e-4]}, {"eps_algofail": "1e-15"}],
+        "example4-gfem": [{"tols": [-1e-4]}, {"eps_algofail": "1e-15"},
+                          {"fields": ["nope"]}, {"fields": "uniform"},
+                          {"fields": ["uniform", 1]}],
     }
     for experiment, cases in bad_params.items():
         for params in cases:
             (key,) = params
             with pytest.raises(ValueError, match=f"params {key}"):
                 ExperimentConfig(experiment, params=params)
+    # channel extents must be integer multiples of every mesh spacing
+    for experiment, params, key in (
+            ("example1-fixed", {"h_inv": 10, "width": 0.35}, "width"),
+            ("example1-adaptive", {"h_inv": 10, "length": 0.05}, "length"),
+            ("example1-hdep", {"h_invs": [40, 20], "length": 0.075},
+             "length")):
+        with pytest.raises(ValueError, match=f"params {key} must be an "
+                                             "integer multiple"):
+            ExperimentConfig(experiment, params=params)
+    ExperimentConfig("example1-fixed", params={"h_inv": 20, "width": 0.35})
+    ExperimentConfig("example1-hdep", params={"h_invs": [40],
+                                              "length": 0.075})
     # list entries pass as given, except that integral floats become int
     cfg = ExperimentConfig("example1-hdep",
                            params={"h_invs": [20.0, 10], "n_values": [0]})
@@ -274,6 +289,10 @@ def test_console_script_and_error_exit_codes(tmp_path):
          "params": {"n_t_values": [0]}},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"],
                                    "n_values": [-1]}},
+        {**SMALL_FIXED, "experiment": "example4-gfem",
+         "params": {"fields": ["nope"]}},
+        {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "width": 0.35}},
+        {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "length": -1}},
     ]
     out = tmp_path / "out"
     for args in (["--config", _write_config(tmp_path, bad, "bad.json")],

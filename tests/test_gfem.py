@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locmor.fem import PdeSpec
+from locmor.fem import PdeSpec, build_rect_mesh
 from locmor.gfem import (GfemPatch, LocalReducedSpace, _build_local_problem,
                          assemble_gfem_and_solve, build_gfem_problem,
                          build_patches, cover_overlap_bound, gfem_run,
@@ -46,9 +46,11 @@ def test_interior_trace_count_fine_mesh():
 
 
 def test_nonconforming_patch_grid_raises():
-    mesh = build_gfem_mesh(20)
-    with pytest.raises(ValueError):
-        build_patches(mesh, PdeSpec(), core=0.25, stride=0.1, overlap=0.1)
+    # cores of side 0.2 on a 0.1 grid cannot tile a side of 1.05
+    mesh = build_rect_mesh((0.0, 1.05, 0.0, 1.05), 0.05, "p1x",
+                           {"all": "sigma_D"})
+    with pytest.raises(ValueError, match="does not tile"):
+        build_patches(mesh, PdeSpec())
 
 
 def test_partition_of_unity(toy_problem):
@@ -94,17 +96,17 @@ def test_pou_pointwise_cases(toy_problem):
 def test_single_patch_cover():
     mesh = build_gfem_mesh(10)
     # a patch swallowing the domain has no free boundary left for its
-    # transfer operator, so the full builder refuses it
-    with pytest.raises(ValueError, match="free boundary"):
-        build_patches(mesh, PdeSpec(), core=1.0, stride=1.0, overlap=0.0)
-    # the weight construction itself degenerates to rho == 1
-    from locmor.gfem import _attach_pou
+    # transfer operator, so the local builder refuses it
     patch = GfemPatch(0, (0, 0), (0.0, 1.0, 0.0, 1.0),
                       (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="free boundary"):
+        _build_local_problem(mesh, PdeSpec(), patch)
+    # the weight construction itself degenerates to rho == 1
+    from locmor.gfem import _attach_pou
     patch.mesh = mesh
     patch.local_to_global = np.arange(mesh.n_nodes)
     patch.range_ids = np.arange(mesh.n_nodes)
-    _attach_pou([patch], mesh, stride=1.0, core=1.0, overlap=0.0)
+    _attach_pou([patch])
     assert np.array_equal(patch.pou_weights, np.ones(mesh.n_nodes))
     assert np.abs(partition_of_unity([patch], mesh) - 1.0).max() == 0.0
     # no recombination loss: the relative local target equals the global

@@ -79,31 +79,19 @@ def test_gram_extremal_eigenvalues_dense_certified():
     assert lo <= ref[0] and hi >= ref[-1]
 
 
-def test_gram_extremal_with_kernel_skips_zero():
-    # PSD Gram with a one-dimensional kernel
-    rng = np.random.default_rng(9)
-    q, _ = np.linalg.qr(rng.standard_normal((15, 15)))
-    eig = np.concatenate([[0.0], np.linspace(0.5, 3.0, 14)])
-    gram = (q * eig) @ q.T
-    kernel = q[:, :1]
-    lo, hi = gram_extremal_eigenvalues(sp.csr_matrix(gram), kernel=kernel)
-    assert abs(lo - 0.5) < 1e-8
-    assert abs(hi - 3.0) < 1e-8
-
-
 def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
-    # the power / inverse-iteration path, forced below its size limit
+    # the eigsh path, forced below its size limit
     source = build_interface_transfer(20, 1.0, 2.0).source
     pde, _ = gfem_field("channels")
     patch = GfemPatch(0, (3, 3), (0.4, 0.6, 0.4, 0.6), (0.3, 0.7, 0.3, 0.7))
     _build_local_problem(build_gfem_mesh(50), pde, patch)
-    energy = patch.range_space
-    assert energy.kernel is not None
-    for gram, kernel in ((source.gram, None), (energy.gram, energy.kernel)):
-        lo_dense, hi_dense = gram_extremal_eigenvalues(gram, kernel=kernel)
+    for gram in (source.gram, patch.core_mass):
+        lo_dense, hi_dense = gram_extremal_eigenvalues(gram)
         with monkeypatch.context() as m:
             m.setattr(locmor.linalg, "DENSE_EIG_LIMIT", 0)
-            lo, hi = gram_extremal_eigenvalues(gram, kernel=kernel)
+            lo, hi = gram_extremal_eigenvalues(gram)
+            # a fixed start vector: repeated calls agree bitwise
+            assert gram_extremal_eigenvalues(gram) == (lo, hi)
         assert lo_dense * (1.0 - 1e-3) <= lo <= lo_dense
         assert hi_dense <= hi <= hi_dense * (1.0 + 1e-3)
 
@@ -140,7 +128,7 @@ def test_factor_semidefinite():
     eig = np.concatenate([[0.0, 0.0], np.linspace(1.0, 2.0, 7)])
     gram = (q * eig) @ q.T
     gram = 0.5 * (gram + gram.T)
-    space = InnerProductSpace(gram, definite=False, kernel=q[:, :2])
+    space = InnerProductSpace(gram, definite=False)
     f = space.factor()
     assert f.shape == (9, 7)
     assert np.abs(f @ f.T - gram).max() < 1e-10

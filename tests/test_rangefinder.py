@@ -7,7 +7,7 @@ from locmor.linalg import InnerProductSpace
 from locmor.problems import build_interface_transfer
 from locmor.rangefinder import (RngStream, a_priori_bound,
                                 adaptive_randomized_range, c_eff, c_est,
-                                effectivity, fixed_rank_range, norm_estimate,
+                                fixed_rank_range, norm_estimate,
                                 projection_error)
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf
@@ -146,12 +146,15 @@ def test_adaptive_exhaustion_paths():
     assert basis.exhausted
     assert len(basis) == 2
     assert projection_error(op, basis) <= 1e-10 * np.linalg.norm(thin) ** 2
-    # explicit n_t_bound cap
-    capped = adaptive_randomized_range(op, tol=1e-300, n_t=3,
-                                       eps_algofail=1e-10, rng=RngStream(43),
-                                       n_t_bound=1)
+    # full rank, unreachable tolerance: stops at min(n_s, n_r) columns
+    wide = DenseOperator(rng.standard_normal((6, 4)),
+                         InnerProductSpace.euclidean(4),
+                         InnerProductSpace.euclidean(6))
+    capped = adaptive_randomized_range(wide, tol=1e-300, n_t=3,
+                                       eps_algofail=1e-10, rng=RngStream(43))
     assert capped.exhausted
-    assert len(capped) == 1
+    assert len(capped) == 4
+    assert capped.evaluations == 4 + 3
 
 
 def test_adaptive_input_validation():
@@ -195,18 +198,6 @@ def test_a_priori_bound_values():
         a_priori_bound(sigmas, 3, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         a_priori_bound(sigmas, 4, 0.0, 1.0, 1.0, 1.0)
-
-
-def test_effectivity_basics():
-    op = _decaying_op(16, decay=0.5)
-    basis = fixed_rank_range(op, 4, RngStream(53))
-    eta = effectivity(op, basis, 10, 1e-2, RngStream(54))
-    assert eta > 0.0
-    assert eta <= c_eff(10, 1e-2, 16 - 4, 1.0, 1.0) * 5.0
-    # full-rank basis puts the true error at the noise floor
-    full = fixed_rank_range(op, 16, RngStream(55))
-    with pytest.raises(ArithmeticError):
-        effectivity(op, full, 10, 1e-2, RngStream(56))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+import locmor.transfer
+from locmor.gfem import GfemPatch, _build_local_problem, build_gfem_problem
 from locmor.linalg import InnerProductSpace
 from locmor.oracle import weighted_svd
-from locmor.problems import build_interface_transfer
-from locmor.transfer import (DenseOperator, ResidualOperator,
-                             TransferOperator, constant_kernel_basis)
+from locmor.problems import build_gfem_mesh, build_interface_transfer, \
+    gfem_field
+from locmor.transfer import DenseOperator, ResidualOperator, TransferOperator
 
 
 @pytest.fixture(scope="module")
@@ -44,55 +46,61 @@ def test_symmetric_data_gives_symmetric_response(small_op):
     assert np.abs(out - out[::-1]).max() < 1e-11
 
 
-def _with_kernel(base, kernel_basis, quotient_gram):
-    return TransferOperator(
-        base.factorization, base.source_ids, base.range_ids, base.source,
-        base.range_space, kernel_basis=kernel_basis,
-        quotient_gram=quotient_gram)
+@pytest.fixture(scope="module")
+def toy_gfem():
+    pde, source = gfem_field("uniform")
+    mesh = build_gfem_mesh(20)
+    return mesh, pde, build_gfem_problem(mesh, pde, source)
 
 
-def test_kernel_stage_removes_constants():
-    base = build_interface_transfer(h_inv=8)
-    range_gram = base.range_space.gram
-    eta = constant_kernel_basis(range_gram)
-    op = _with_kernel(base, eta, range_gram)
-    assert np.abs(op.apply(np.ones(base.n_source))).max() < 1e-10
-    block = op.apply_block(np.ones((base.n_source, 2)))
-    assert np.abs(block).max() < 1e-10
-    # generic data: the output is quotient-orthogonal to eta
+def _interior(problem):
+    return next(p for p in problem.patches if p.grid_pos == (4, 4))
+
+
+def test_kernel_stage_removes_constants(toy_gfem):
+    # an interior GFEM patch operator maps into the range modulo constants
+    patch = _interior(toy_gfem[2])
+    op = patch.operator
+    mass = patch.core_mass
+    assert not patch.touches_dirichlet
+    ones = np.ones(op.source.dim)
+    assert np.abs(op.apply(ones)).max() < 1e-10
+    assert np.abs(op.apply_block(np.column_stack([ones, ones]))).max() \
+        < 1e-10
+    # generic data: the output is core-mass-orthogonal to constants
     rng = np.random.default_rng(73)
-    z = rng.standard_normal(base.n_source)
-    v = op.apply(z)
-    assert abs(eta[:, 0] @ (range_gram @ v)) < 1e-12 * np.abs(v).max()
-
-    with pytest.raises(ValueError, match="quotient Gram"):
-        _with_kernel(base, eta, None)
+    v = op.apply(rng.standard_normal(op.source.dim))
+    assert abs(np.ones(patch.n_range) @ (mass @ v)) < 1e-12 * np.abs(v).max()
 
 
-def test_kernel_projection_identities():
-    base = build_interface_transfer(h_inv=8)
-    range_gram = base.range_space.gram
-    eta = constant_kernel_basis(range_gram)
-    op = _with_kernel(base, eta, range_gram)
-    # the operator is the plain one followed by the quotient projection
+def test_kernel_projection_identities(toy_gfem):
+    mesh, pde, problem = toy_gfem
+    patch = _interior(problem)
+    op = patch.operator
+    mass = patch.core_mass
+    # the operator is the plain transfer map followed by the core-mass
+    # projection off the constant
+    plain_patch = GfemPatch(patch.pid, patch.grid_pos, patch.core_box,
+                            patch.over_box)
+    _build_local_problem(mesh, pde, plain_patch)
     rng = np.random.default_rng(79)
-    z = rng.standard_normal(base.n_source)
+    z = rng.standard_normal(op.source.dim)
     v = op.apply(z)
-    plain = base.apply(z)
-    projected = plain - eta[:, 0] * (eta[:, 0] @ (range_gram @ plain))
+    plain = plain_patch.operator.apply(z)
+    ones = np.ones(patch.n_range)
+    mean = (ones @ (mass @ plain)) / (ones @ (mass @ ones))
+    projected = plain - mean * ones
     assert np.abs(v - projected).max() < 1e-13 * np.abs(plain).max()
     # block columns match the single applies
-    block = op.apply_block(np.column_stack([z, np.ones(base.n_source)]))
+    block = op.apply_block(np.column_stack([z, np.ones(op.source.dim)]))
     assert np.abs(block[:, 0] - v).max() < 1e-13 * np.abs(v).max()
     assert np.abs(block[:, 1]).max() < 1e-10
-
-    with pytest.raises(ValueError, match="not orthonormal"):
-        _with_kernel(base, eta * 3.0, range_gram)
 
 
 def test_assemble_dense_consistency(small_op):
     dense = small_op.assemble_dense()
-    assert dense.matrix.shape == (small_op.n_range, small_op.n_source)
+    n_range = small_op.range_space.dim
+    assert dense.matrix.shape == (n_range, small_op.n_source)
     rng = np.random.default_rng(79)
     for _ in range(10):
         z = rng.standard_normal(small_op.n_source)
@@ -100,12 +108,13 @@ def test_assemble_dense_consistency(small_op):
         assert np.abs(dense.apply(z) - direct).max() <= \
             1e-12 * max(np.abs(direct).max(), 1e-30)
     assert np.linalg.matrix_rank(dense.matrix) <= min(small_op.n_source,
-                                                      small_op.n_range)
+                                                      n_range)
 
 
-def test_assemble_dense_guard(small_op):
+def test_assemble_dense_guard(small_op, monkeypatch):
+    monkeypatch.setattr(locmor.transfer, "DENSE_GUARD", 3)
     with pytest.raises(ValueError):
-        small_op.assemble_dense(guard=3)
+        small_op.assemble_dense()
 
 
 def test_leading_weighted_singular_value():
