@@ -2,7 +2,6 @@
 partition-of-unity weights, per-patch reduced spaces built by the
 adaptive rangefinder, and the coupled global Galerkin solve."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,10 @@ STRIDE = 0.1
 OVERLAP = 0.1
 # accepted deviation of the summed partition-of-unity weights from one
 POU_TOL = 1e-12
+# reduced solve: per-patch energy eigenvalues below REDUCED_RTOL times
+# the patch's largest are dropped, and REDUCED_RTOL is the diagonal shift
+# that makes the overlapping unit-energy patch spaces definite
+REDUCED_RTOL = 1e-13
 
 
 class GfemPatch:
@@ -415,16 +418,26 @@ def assemble_gfem_and_solve(problem, spaces):
     """Couple the patch spaces through the partition of unity and solve
     the reduced Galerkin system.
 
-    Assembles the reduced operator block by block over the precomputed
-    neighbor pairs straight into banded storage.
+    Each patch's weighted columns are orthonormalized in energy through
+    the eigendecomposition of their own diagonal block, dropping
+    directions below REDUCED_RTOL of its largest eigenvalue (Babuska &
+    Banerjee, Stable GFEM, 2012).  The reduced operator is assembled
+    block by block over the precomputed neighbor pairs straight into
+    banded storage, shifted by REDUCED_RTOL on the diagonal, since
+    neighbouring patch spaces overlap, and solved by banded Cholesky.
     """
     mesh = problem.mesh
     coupling = problem.coupling
 
     weighted = []
-    for space, keep in zip(spaces, coupling.keep_masks):
+    dropped = 0
+    for i, (space, keep) in enumerate(zip(spaces, coupling.keep_masks)):
         w = space.patch.pou_weights[keep, None] * space.combined[keep]
-        weighted.append(w)
+        k_ii = w.T @ (coupling.pairs[(i, i)] @ w)
+        lam, vecs = np.linalg.eigh(0.5 * (k_ii + k_ii.T))
+        kept = lam > REDUCED_RTOL * np.max(lam, initial=0.0)
+        dropped += int(kept.size - kept.sum())
+        weighted.append(w @ (vecs[:, kept] / np.sqrt(lam[kept])))
     sizes = np.array([w.shape[1] for w in weighted], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ncols = int(offsets[-1])
@@ -434,25 +447,22 @@ def assemble_gfem_and_solve(problem, spaces):
         if sizes[i] and sizes[j]:
             bandwidth = max(bandwidth, int(offsets[j + 1] - 1 - offsets[i]))
     band = np.zeros((bandwidth + 1, ncols))
-    blocks = {}
     for (i, j), a_ij in coupling.pairs.items():
         k_ij = weighted[i].T @ (a_ij @ weighted[j])
         if i == j:
             k_ij = 0.5 * (k_ij + k_ij.T)
-        blocks[(i, j)] = k_ij
         rr = np.broadcast_to(offsets[i] + np.arange(sizes[i])[:, None],
                              k_ij.shape)
         cc = np.broadcast_to(offsets[j] + np.arange(sizes[j])[None, :],
                              k_ij.shape)
         upper = rr <= cc
         band[bandwidth + rr[upper] - cc[upper], cc[upper]] = k_ij[upper]
+    band[bandwidth] += REDUCED_RTOL
 
     rhs = np.concatenate([
         w.T @ problem.load[gids]
-        for w, gids in zip(weighted, coupling.kept_gids)]) \
-        if ncols else np.empty(0)
-
-    coeff, dropped = _solve_reduced(band, bandwidth, blocks, offsets, rhs)
+        for w, gids in zip(weighted, coupling.kept_gids)])
+    coeff = scipy.linalg.solveh_banded(band, rhs)
 
     u_gfem = np.zeros(mesh.n_nodes)
     for w, gids, lo, hi in zip(weighted, coupling.kept_gids,
@@ -466,35 +476,6 @@ def assemble_gfem_and_solve(problem, spaces):
     local = np.array([_local_error(problem, s) for s in spaces])
     return GfemResult(solution=u_gfem, global_error=global_error,
                       local_errors=local, dropped_columns=dropped)
-
-
-def _solve_reduced(band, bandwidth, blocks, offsets, rhs):
-    if rhs.size == 0:
-        return rhs, 0
-    try:
-        return scipy.linalg.solveh_banded(band, rhs), 0
-    except scipy.linalg.LinAlgError:
-        pass
-    # dependent columns (coarse toy meshes): reconstruct densely, keep
-    # the pivots of a rank-revealing QR above the drop tolerance, warn
-    n = rhs.size
-    k_red = np.zeros((n, n))
-    for (i, j), k_ij in blocks.items():
-        ri = slice(offsets[i], offsets[i] + k_ij.shape[0])
-        cj = slice(offsets[j], offsets[j] + k_ij.shape[1])
-        k_red[ri, cj] = k_ij
-        if i != j:
-            k_red[cj, ri] = k_ij.T
-    q, r, piv = scipy.linalg.qr(k_red, pivoting=True)
-    diag = np.abs(np.diag(r))
-    keep = piv[diag > 1e-12 * diag.max()]
-    dropped = n - keep.size
-    warnings.warn(f"reduced system is singular; dropped {dropped} "
-                  "dependent columns", RuntimeWarning)
-    coeff = np.zeros(rhs.size)
-    sub = k_red[np.ix_(keep, keep)]
-    coeff[keep] = scipy.linalg.solve(sub, rhs[keep], assume_a="sym")
-    return coeff, dropped
 
 
 def _local_error(problem, space):

@@ -14,7 +14,7 @@ DROP_TOL = 1e-14
 DENSE_EIG_LIMIT = 2000
 # Pivot threshold (relative to max |A|) below which a factorization is
 # treated as singular.
-PIVOT_RTOL = 1e-14
+PIVOT_RTOL = 1e-10
 # Relative symmetry defect tolerated in a Gram matrix.
 GRAM_SYM_TOL = 1e-12
 

@@ -60,12 +60,22 @@ def test_factorization_fill_below_colamd():
     assert np.abs(matrix @ x - b).max() < 1e-10 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("kind", ["q1", "p1x"])
-def test_factorize_rejects_resonant_helmholtz(kind):
+_CHANNEL = {"left": "gamma_out", "right": "gamma_out"}
+
+
+@pytest.mark.parametrize("bounds, kind, spec, kappa", [
     # all-natural boundary: kappa = 0 resonates with the constant mode
-    mesh = build_rect_mesh((0.0, 1.0, 0.0, 1.0), 0.1, kind)
+    pytest.param((0.0, 1.0, 0.0, 1.0), "q1", None, 0.0, id="q1"),
+    pytest.param((0.0, 1.0, 0.0, 1.0), "p1x", None, 0.0, id="p1x"),
+    # the 1/h = 10 interface channel at a discrete eigenvalue: smallest
+    # pivot 5.9e-14 * max|A|, where a solve of ones returns 4e13
+    pytest.param((-1.0, 1.0, 0.0, 1.0), "q1", _CHANNEL, 1.5724117312772443,
+                 id="interface-channel"),
+])
+def test_factorize_rejects_resonant_helmholtz(bounds, kind, spec, kappa):
+    mesh = build_rect_mesh(bounds, 0.1, kind, spec)
     with pytest.raises(NearSingularError):
-        factorize(assemble_system(mesh, PdeSpec("helmholtz", kappa=0.0)))
+        factorize(assemble_system(mesh, PdeSpec("helmholtz", kappa=kappa)))
 
 
 def test_gram_extremal_eigenvalues_dense_certified():
