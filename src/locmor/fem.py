@@ -339,16 +339,22 @@ def assemble_mass(mesh):
     return mat.tocsr()
 
 
-def _restrict(mat_coo_parts, n_total, node_ids):
-    rows, cols, data = mat_coo_parts
-    lookup = np.full(n_total, -1, dtype=np.int64)
+def _subdomain_gram(mesh, pde, box, what):
+    """Element matrices of the elements inside a box, summed on the
+    nodes of those elements; returns (gram, node_ids)."""
+    element_ids = mesh.elements_in_box(box)
+    if element_ids.size == 0:
+        raise ValueError("box contains no whole element")
+    node_ids = np.unique(mesh.elements[element_ids])
+    rows, cols, data = _element_entries(mesh, pde, element_ids, what=what)
+    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
     lookup[node_ids] = np.arange(node_ids.size)
     r = lookup[rows]
     c = lookup[cols]
     keep = (r >= 0) & (c >= 0)
     mat = sp.coo_matrix((data[keep], (r[keep], c[keep])),
                         shape=(node_ids.size, node_ids.size))
-    return mat.tocsr()
+    return mat.tocsr(), node_ids
 
 
 def assemble_energy_product(mesh, pde, box):
@@ -358,31 +364,16 @@ def assemble_energy_product(mesh, pde, box):
     nodes.  The Gram is only semidefinite (constants are flat); it is
     stored unregularized and callers deflate the kernel where needed.
     """
-    element_ids = mesh.elements_in_box(box)
-    if element_ids.size == 0:
-        raise ValueError("box contains no whole element")
-    conn = mesh.elements[element_ids]
-    node_ids = np.unique(conn)
-    pde_energy = pde
     if pde.kind == "helmholtz":
         # energy norm of the indefinite operator is taken from its
         # principal (Laplace) part
-        pde_energy = PdeSpec()
-    parts = _element_entries(mesh, pde_energy, element_ids, what="system")
-    gram = _restrict(parts, mesh.n_nodes, node_ids)
-    return gram, node_ids
+        pde = PdeSpec()
+    return _subdomain_gram(mesh, pde, box, "system")
 
 
 def assemble_mass_subdomain(mesh, box):
     """L2 Gram over the elements inside a box; returns (gram, node_ids)."""
-    element_ids = mesh.elements_in_box(box)
-    if element_ids.size == 0:
-        raise ValueError("box contains no whole element")
-    conn = mesh.elements[element_ids]
-    node_ids = np.unique(conn)
-    parts = _element_entries(mesh, PdeSpec(), element_ids, what="mass")
-    gram = _restrict(parts, mesh.n_nodes, node_ids)
-    return gram, node_ids
+    return _subdomain_gram(mesh, PdeSpec(), box, "mass")
 
 
 def load_vector(mesh, f):

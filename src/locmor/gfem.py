@@ -12,7 +12,7 @@ from . import fem
 from .fem import GAMMA_OUT, build_rect_mesh, path_l2_gram
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
-from .transfer import TransferOperator
+from .transfer import DenseOperator, TransferOperator
 
 _TOL = 1e-9
 # patch cover: cores of side CORE on a grid of spacing STRIDE, each
@@ -28,29 +28,30 @@ POU_TOL = 1e-12
 REDUCED_RTOL = 1e-13
 
 
+@dataclass(frozen=True, eq=False)
 class GfemPatch:
-    """One overlapping patch: core region, oversampled local problem,
-    trace source space, energy range space, and transfer operator."""
+    """One overlapping patch, complete once built: core and oversampled
+    boxes, local mesh and index maps, trace source space, energy range
+    space, core L2 Gram, partition-of-unity weights, the dense transfer
+    operator, and the patch's share of the reference solution."""
 
-    def __init__(self, pid, grid_pos, core_box, over_box):
-        self.pid = pid
-        self.grid_pos = grid_pos
-        self.core_box = core_box
-        self.over_box = over_box
-        # filled by build_patches
-        self.mesh = None
-        self.local_to_global = None
-        self.source_ids = None
-        self.range_ids = None
-        self.source = None
-        self.range_space = None
-        self.core_mass = None
-        self.operator = None
-        self.touches_dirichlet = None
-        self.pou_weights = None
-        self.u_f = None
-        self.truth_energy = None
-        self.trace_norm = None
+    pid: int
+    grid_pos: tuple
+    core_box: tuple
+    over_box: tuple
+    mesh: object
+    local_to_global: np.ndarray
+    source_ids: np.ndarray
+    range_ids: np.ndarray
+    source: InnerProductSpace
+    range_space: InnerProductSpace
+    core_mass: object
+    touches_dirichlet: bool
+    pou_weights: np.ndarray
+    operator: DenseOperator
+    u_f: np.ndarray
+    truth_energy: float
+    trace_norm: float
 
     @property
     def n_range(self):
@@ -62,6 +63,21 @@ def _hat_profile(x, lo, hi, ramp, is_first, is_last):
     up = np.ones_like(x) if is_first else (x - lo) / ramp
     down = np.ones_like(x) if is_last else (hi - x) / ramp
     return np.clip(np.minimum(up, down), 0.0, 1.0)
+
+
+def _pou_weights(coords, core_box, grid_pos, grid_shape):
+    """Flat-top hat weights of the patch at grid_pos on a grid of
+    grid_shape patches, at the given node coordinates.  They ramp over
+    the band where neighbouring cores overlap and stay flat towards the
+    outer edges of the grid."""
+    ramp = CORE - STRIDE
+    (ix, jy), (n_steps, m_steps) = grid_pos, grid_shape
+    cx0, cx1, cy0, cy1 = core_box
+    wx = _hat_profile(coords[:, 0], cx0, cx1, ramp,
+                      ix == 0, ix == n_steps - 1)
+    wy = _hat_profile(coords[:, 1], cy0, cy1, ramp,
+                      jy == 0, jy == m_steps - 1)
+    return wx * wy
 
 
 def _boundary_loop(mesh):
@@ -88,13 +104,13 @@ def _lattice_ids(global_mesh, coords, is_center):
     return j * (global_mesh.nx + 1) + i
 
 
-def build_patches(global_mesh, pde):
+def build_patches(global_mesh, pde, source_fn, truth):
     """Cover the global rectangle with overlapping square patches.
 
     Cores of side CORE placed on a grid of spacing STRIDE; oversampling
-    extends each core by OVERLAP in every interior direction.  Local
-    meshes, trace/energy spaces, and factorized transfer operators are
-    built per patch.
+    extends each core by OVERLAP in every interior direction.  Each patch
+    is built whole, one after the other, against the global source term
+    and reference solution truth.
     """
     x0, x1, y0, y1 = global_mesh.bounds
     n_steps = int(round((x1 - x0 - CORE) / STRIDE)) + 1
@@ -103,27 +119,30 @@ def build_patches(global_mesh, pde):
         raise ValueError("patch grid does not tile the domain")
 
     patches = []
-    pid = 0
     for jy in range(m_steps):
         for ix in range(n_steps):
             cx0 = x0 + ix * STRIDE
             cy0 = y0 + jy * STRIDE
             core_box = (cx0, cx0 + CORE, cy0, cy0 + CORE)
-            over_box = (max(x0, cx0 - OVERLAP),
-                        min(x1, cx0 + CORE + OVERLAP),
-                        max(y0, cy0 - OVERLAP),
-                        min(y1, cy0 + CORE + OVERLAP))
-            patches.append(GfemPatch(pid, (ix, jy), core_box, over_box))
-            pid += 1
-
-    for patch in patches:
-        _build_local_problem(global_mesh, pde, patch)
-    _attach_pou(patches)
+            patches.append(_build_patch(global_mesh, pde, source_fn, truth,
+                                        core_box, (ix, jy),
+                                        (n_steps, m_steps)))
     return patches
 
 
-def _build_local_problem(global_mesh, pde, patch):
+def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
+                 grid_shape):
+    """Build one complete patch around core_box.
+
+    The local sparse factorization serves the source response and the
+    dense transfer operator and is freed on return, so a cover holds
+    one factorization at a time.
+    """
     gx0, gx1, gy0, gy1 = global_mesh.bounds
+    cx0, cx1, cy0, cy1 = core_box
+    over_box = (max(gx0, cx0 - OVERLAP), min(gx1, cx1 + OVERLAP),
+                max(gy0, cy0 - OVERLAP), min(gy1, cy1 + OVERLAP))
+    pid = grid_pos[1] * grid_shape[0] + grid_pos[0]
 
     def on_global_boundary(x, y):
         return (abs(x - gx0) <= _TOL or abs(x - gx1) <= _TOL
@@ -132,16 +151,15 @@ def _build_local_problem(global_mesh, pde, patch):
     def tag(x, y):
         return "sigma_D" if on_global_boundary(x, y) else "gamma_out"
 
-    mesh = build_rect_mesh(patch.over_box, global_mesh.h, global_mesh.kind,
+    mesh = build_rect_mesh(over_box, global_mesh.h, global_mesh.kind,
                            tag_fn=tag)
-    patch.mesh = mesh
-    patch.local_to_global = np.concatenate([
+    local_to_global = np.concatenate([
         _lattice_ids(global_mesh, mesh.coords[: mesh.n_corner], False),
         _lattice_ids(global_mesh, mesh.coords[mesh.n_corner:], True),
     ])
     # reuse the global lattice floats so piecewise coefficients classify
     # elements bitwise identically in the local and the global assembly
-    mesh.coords = global_mesh.coords[patch.local_to_global]
+    mesh.coords = global_mesh.coords[local_to_global]
 
     # trace space on the non-global part of the local boundary; the
     # closed-loop Gram restricted to the free nodes accounts for the
@@ -150,47 +168,45 @@ def _build_local_problem(global_mesh, pde, patch):
     loop_gram = path_l2_gram(mesh.coords[loop], closed=True)
     free = mesh.node_tags[loop] == GAMMA_OUT
     if not free.any():
-        raise ValueError(f"patch {patch.pid} has no free boundary")
+        raise ValueError(f"patch {pid} has no free boundary")
     sub = loop_gram[np.ix_(np.nonzero(free)[0], np.nonzero(free)[0])]
-    patch.source_ids = loop[free]
-    patch.source = InnerProductSpace(sub)
+    source_ids = loop[free]
+    source = InnerProductSpace(sub)
 
-    system = fem.assemble_system(mesh, pde, constrain=True)
-    factorization = factorize(system)
+    energy_gram, range_ids = fem.assemble_energy_product(mesh, pde, core_box)
+    range_space = InnerProductSpace(energy_gram, definite=False)
+    core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
+    touches_dirichlet = (abs(cx0 - gx0) <= _TOL or abs(cx1 - gx1) <= _TOL
+                         or abs(cy0 - gy0) <= _TOL or abs(cy1 - gy1) <= _TOL)
 
-    energy_gram, range_ids = fem.assemble_energy_product(
-        mesh, pde, patch.core_box)
-    mass_gram, mass_ids = fem.assemble_mass_subdomain(mesh, patch.core_box)
-    if not np.array_equal(range_ids, mass_ids):
-        raise AssertionError("range node sets disagree between products")
-    patch.range_ids = range_ids
-    patch.core_mass = mass_gram
+    factorization = factorize(fem.assemble_system(mesh, pde, constrain=True))
+    # local source response with zero data on the whole local boundary
+    local_load = fem.constrain_rhs(mesh, fem.load_vector(mesh, source_fn))
+    u_f = factorization.solve(local_load)[range_ids]
+    # Monte Carlo studies rerun every patch many times; the dense form
+    # amortizes the local solves across runs
+    operator = TransferOperator(factorization, source_ids, range_ids, source,
+                                range_space).assemble_dense()
+    if not touches_dirichlet:
+        # constants are flat in the energy product, so the operator maps
+        # into the range modulo constants: each image loses its core-L2
+        # projection onto the constant
+        ones = np.ones(range_ids.size)
+        k = (ones / np.sqrt(ones @ (core_mass @ ones)))[:, None]
+        operator.matrix -= k @ (k.T @ (core_mass @ operator.matrix))
 
-    cx0, cx1, cy0, cy1 = patch.core_box
-    patch.touches_dirichlet = (abs(cx0 - gx0) <= _TOL
-                               or abs(cx1 - gx1) <= _TOL
-                               or abs(cy0 - gy0) <= _TOL
-                               or abs(cy1 - gy1) <= _TOL)
-    patch.range_space = InnerProductSpace(energy_gram, definite=False)
-    patch.operator = TransferOperator(
-        factorization, patch.source_ids, range_ids, patch.source,
-        patch.range_space)
-
-
-def _attach_pou(patches):
-    # the weights ramp over the band where neighbouring cores overlap
-    ramp = CORE - STRIDE
-    n_steps = max(p.grid_pos[0] for p in patches) + 1
-    m_steps = max(p.grid_pos[1] for p in patches) + 1
-    for patch in patches:
-        ix, jy = patch.grid_pos
-        cx0, cx1, cy0, cy1 = patch.core_box
-        coords = patch.mesh.coords[patch.range_ids]
-        wx = _hat_profile(coords[:, 0], cx0, cx1, ramp,
-                          ix == 0, ix == n_steps - 1)
-        wy = _hat_profile(coords[:, 1], cy0, cy1, ramp,
-                          jy == 0, jy == m_steps - 1)
-        patch.pou_weights = wx * wy
+    over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box)
+    u_loc = truth[local_to_global]
+    return GfemPatch(
+        pid=pid, grid_pos=grid_pos, core_box=core_box, over_box=over_box,
+        mesh=mesh, local_to_global=local_to_global, source_ids=source_ids,
+        range_ids=range_ids, source=source, range_space=range_space,
+        core_mass=core_mass, touches_dirichlet=touches_dirichlet,
+        pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
+                                 grid_pos, grid_shape),
+        operator=operator, u_f=u_f,
+        truth_energy=float(np.sqrt(max(u_loc @ (over_gram @ u_loc), 0.0))),
+        trace_norm=source.norm(truth[local_to_global[source_ids]]))
 
 
 def partition_of_unity(patches, global_mesh):
@@ -337,45 +353,14 @@ def build_gfem_problem(mesh, pde, source_fn):
     truth = factorize(system).solve(load)
     truth_energy = float(np.sqrt(truth @ (stiffness_raw @ truth)))
 
-    patches = build_patches(mesh, pde)
+    patches = build_patches(mesh, pde, source_fn, truth)
     partition_of_unity(patches, mesh)
     c_pou = cover_overlap_bound(patches, mesh)
-
-    for patch in patches:
-        _attach_patch_data(pde, patch, source_fn, truth)
-        # Monte Carlo studies rerun every patch many times; the dense
-        # form amortizes the local solves across runs and frees the
-        # factorization
-        patch.operator = patch.operator.assemble_dense()
-        if not patch.touches_dirichlet:
-            # constants are flat in the energy product, so the operator
-            # maps into the range modulo constants: each image loses its
-            # core-L2 projection onto the constant
-            ones = np.ones(patch.n_range)
-            k = (ones / np.sqrt(ones @ (patch.core_mass @ ones)))[:, None]
-            m = patch.operator.matrix
-            patch.operator.matrix = m - k @ (k.T @ (patch.core_mass @ m))
     coupling = _Coupling(mesh, stiffness_raw, patches)
     return GfemProblem(mesh=mesh, pde=pde, patches=patches,
                        stiffness_raw=stiffness_raw, load=load, truth=truth,
                        truth_energy=truth_energy, c_pou=c_pou,
                        coupling=coupling)
-
-
-def _attach_patch_data(pde, patch, source_fn, truth):
-    # local source response with zero data on the whole local boundary
-    local_load = fem.load_vector(patch.mesh, source_fn)
-    local_load[patch.mesh.constrained_nodes] = 0.0
-    u_f_full = patch.operator.factorization.solve(local_load)
-    patch.u_f = u_f_full[patch.range_ids]
-
-    over_gram, _ = fem.assemble_energy_product(
-        patch.mesh, pde, patch.over_box)
-    u_loc = truth[patch.local_to_global]
-    patch.truth_energy = float(
-        np.sqrt(max(u_loc @ (over_gram @ u_loc), 0.0)))
-    trace = truth[patch.local_to_global[patch.source_ids]]
-    patch.trace_norm = patch.source.norm(trace)
 
 
 def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
@@ -386,7 +371,6 @@ def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
     patches = problem.patches
     energies = [p.truth_energy for p in patches]
     targets = tolerance_cascade(tol_gfem, energies, problem.c_pou)
-    spaces = [None] * len(patches)
 
     def build(i):
         patch = patches[i]

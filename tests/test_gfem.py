@@ -1,8 +1,12 @@
+import types
+import weakref
+
 import numpy as np
 import pytest
 
-from locmor.fem import PdeSpec, build_rect_mesh
-from locmor.gfem import (GfemPatch, LocalReducedSpace, _build_local_problem,
+import locmor.gfem
+from locmor.fem import build_rect_mesh
+from locmor.gfem import (LocalReducedSpace, _build_patch, _pou_weights,
                          assemble_gfem_and_solve, build_gfem_problem,
                          build_patches, cover_overlap_bound, gfem_run,
                          local_space, partition_of_unity, tolerance_cascade)
@@ -10,6 +14,7 @@ from locmor.linalg import RangeBasis
 from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, gfem_field
 from locmor.rangefinder import RngStream
+from locmor.transfer import DenseOperator
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +43,10 @@ def test_interior_trace_count_fine_mesh():
     mesh = build_gfem_mesh(200)
     assert mesh.n_nodes == 80_401
     assert mesh.constrained_nodes.size == 800
-    pde = PdeSpec()
-    patch = GfemPatch(0, (4, 4), (0.4, 0.6, 0.4, 0.6),
-                      (0.3, 0.7, 0.3, 0.7))
-    _build_local_problem(mesh, pde, patch)
+    pde, source = gfem_field("uniform")
+    patch = _build_patch(mesh, pde, source, np.zeros(mesh.n_nodes),
+                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9))
+    assert np.allclose(patch.over_box, (0.3, 0.7, 0.3, 0.7))
     assert patch.source.dim == patch.source_ids.size == 320
 
 
@@ -49,8 +54,9 @@ def test_nonconforming_patch_grid_raises():
     # cores of side 0.2 on a 0.1 grid cannot tile a side of 1.05
     mesh = build_rect_mesh((0.0, 1.05, 0.0, 1.05), 0.05, "p1x",
                            {"all": "sigma_D"})
+    pde, source = gfem_field("uniform")
     with pytest.raises(ValueError, match="does not tile"):
-        build_patches(mesh, PdeSpec())
+        build_patches(mesh, pde, source, np.zeros(mesh.n_nodes))
 
 
 def test_partition_of_unity(toy_problem):
@@ -95,24 +101,45 @@ def test_pou_pointwise_cases(toy_problem):
 
 def test_single_patch_cover():
     mesh = build_gfem_mesh(10)
+    pde, source = gfem_field("uniform")
+    whole = (0.0, 1.0, 0.0, 1.0)
     # a patch swallowing the domain has no free boundary left for its
-    # transfer operator, so the local builder refuses it
-    patch = GfemPatch(0, (0, 0), (0.0, 1.0, 0.0, 1.0),
-                      (0.0, 1.0, 0.0, 1.0))
+    # transfer operator, so the patch builder refuses it
     with pytest.raises(ValueError, match="free boundary"):
-        _build_local_problem(mesh, PdeSpec(), patch)
+        _build_patch(mesh, pde, source, np.zeros(mesh.n_nodes), whole,
+                     (0, 0), (1, 1))
     # the weight construction itself degenerates to rho == 1
-    from locmor.gfem import _attach_pou
-    patch.mesh = mesh
-    patch.local_to_global = np.arange(mesh.n_nodes)
-    patch.range_ids = np.arange(mesh.n_nodes)
-    _attach_pou([patch])
-    assert np.array_equal(patch.pou_weights, np.ones(mesh.n_nodes))
+    weights = _pou_weights(mesh.coords, whole, (0, 0), (1, 1))
+    assert np.array_equal(weights, np.ones(mesh.n_nodes))
+    patch = types.SimpleNamespace(local_to_global=np.arange(mesh.n_nodes),
+                                  range_ids=np.arange(mesh.n_nodes),
+                                  pou_weights=weights)
     assert np.abs(partition_of_unity([patch], mesh) - 1.0).max() == 0.0
     # no recombination loss: the relative local target equals the global
     target = tolerance_cascade(1e-3, [2.5], c_pou=1)
     assert target.shape == (1,)
     assert abs(target[0] / 2.5 - 1e-3) < 1e-18
+
+
+def test_patches_hold_one_factorization_at_a_time(monkeypatch):
+    # each patch is built whole and drops its local factorization before
+    # the next one is made; every patch keeps only a dense operator
+    factorize = locmor.gfem.factorize
+    alive = []
+    counts = []
+
+    def tracked(matrix):
+        factorization = factorize(matrix)
+        alive.append(weakref.ref(factorization))
+        counts.append(sum(ref() is not None for ref in alive))
+        return factorization
+
+    monkeypatch.setattr(locmor.gfem, "factorize", tracked)
+    pde, source = gfem_field("uniform")
+    problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
+    assert len(counts) == 1 + len(problem.patches)
+    assert max(counts) == 1
+    assert all(type(p.operator) is DenseOperator for p in problem.patches)
 
 
 def test_tolerance_cascade_scalings():

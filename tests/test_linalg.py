@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import locmor.linalg
-from locmor.gfem import GfemPatch, _build_local_problem
+from locmor.gfem import _build_patch
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            dense_svd, factorize, generalized_symmetric_eig,
                            gram_extremal_eigenvalues)
@@ -92,9 +92,10 @@ def test_gram_extremal_eigenvalues_dense_certified():
 def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
     # the eigsh path, forced below its size limit
     source = build_interface_transfer(20, 1.0, 2.0).source
-    pde, _ = gfem_field("channels")
-    patch = GfemPatch(0, (3, 3), (0.4, 0.6, 0.4, 0.6), (0.3, 0.7, 0.3, 0.7))
-    _build_local_problem(build_gfem_mesh(50), pde, patch)
+    pde, load = gfem_field("channels")
+    mesh = build_gfem_mesh(50)
+    patch = _build_patch(mesh, pde, load, np.zeros(mesh.n_nodes),
+                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9))
     for gram in (source.gram, patch.core_mass):
         lo_dense, hi_dense = gram_extremal_eigenvalues(gram)
         with monkeypatch.context() as m:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import locmor.transfer
-from locmor.gfem import GfemPatch, _build_local_problem, build_gfem_problem
-from locmor.linalg import InnerProductSpace
+from locmor.fem import assemble_system
+from locmor.gfem import build_gfem_problem
+from locmor.linalg import InnerProductSpace, factorize
 from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, build_interface_transfer, \
     gfem_field
@@ -74,19 +75,19 @@ def test_kernel_stage_removes_constants(toy_gfem):
 
 
 def test_kernel_projection_identities(toy_gfem):
-    mesh, pde, problem = toy_gfem
+    _, pde, problem = toy_gfem
     patch = _interior(problem)
     op = patch.operator
     mass = patch.core_mass
     # the operator is the plain transfer map followed by the core-mass
     # projection off the constant
-    plain_patch = GfemPatch(patch.pid, patch.grid_pos, patch.core_box,
-                            patch.over_box)
-    _build_local_problem(mesh, pde, plain_patch)
+    plain_op = TransferOperator(
+        factorize(assemble_system(patch.mesh, pde, constrain=True)),
+        patch.source_ids, patch.range_ids, patch.source, patch.range_space)
     rng = np.random.default_rng(79)
     z = rng.standard_normal(op.source.dim)
     v = op.apply(z)
-    plain = plain_patch.operator.apply(z)
+    plain = plain_op.apply(z)
     ones = np.ones(patch.n_range)
     mean = (ones @ (mass @ plain)) / (ones @ (mass @ ones))
     projected = plain - mean * ones
