@@ -121,12 +121,27 @@ class RectMesh:
             self.tris = None
 
     @property
+    def coords(self):
+        return self._coords
+
+    @coords.setter
+    def coords(self, value):
+        # read-only, so the centroids derived from it cannot go stale
+        value.setflags(write=False)
+        self._coords = value
+        self._centroids = None
+
+    @property
     def elements(self):
         return self.tris if self.kind == "p1x" else self.quads
 
     def element_centroids(self):
-        conn = self.elements
-        return self.coords[conn].mean(axis=1)
+        """Read-only element centroids, computed once per coordinate
+        array."""
+        if self._centroids is None:
+            self._centroids = self.coords[self.elements].mean(axis=1)
+            self._centroids.setflags(write=False)
+        return self._centroids
 
     def nodes_on_line(self, axis, value):
         """Corner nodes on the mesh line {axis == value}, sorted along it."""
@@ -262,6 +277,15 @@ def _tri_reference_matrices(h):
 # assembly
 
 
+def _centroid_coefficient(mesh, pde, element_ids):
+    """PDE coefficient at the centroids of the given elements (all if
+    None)."""
+    cent = mesh.element_centroids()
+    if element_ids is not None:
+        cent = cent[element_ids]
+    return pde.coefficient(cent[:, 0], cent[:, 1])
+
+
 def _element_entries(mesh, pde, element_ids=None, what="system"):
     """COO triplets (rows, cols, data) over a subset of elements."""
     conn = mesh.elements
@@ -277,8 +301,7 @@ def _element_entries(mesh, pde, element_ids=None, what="system"):
         else:
             base = _Q1_STIFF
             if pde.kind == "diffusion":
-                cent = mesh.coords[conn].mean(axis=1)
-                k = pde.coefficient(cent[:, 0], cent[:, 1])
+                k = _centroid_coefficient(mesh, pde, element_ids)
                 data = (k[:, None] * base.ravel()[None, :]).ravel()
             elif pde.kind == "helmholtz":
                 base = base - pde.kappa ** 2 * _Q1_MASS * mesh.h ** 2
@@ -297,9 +320,8 @@ def _element_entries(mesh, pde, element_ids=None, what="system"):
             orientation = ids // n_sq
             flat = np.stack([s.ravel() for s in stiffs])[orientation]
             if pde.kind == "diffusion":
-                cent = mesh.coords[conn].mean(axis=1)
-                k = pde.coefficient(cent[:, 0], cent[:, 1])
-                flat = flat * k[:, None]
+                flat = flat * _centroid_coefficient(mesh, pde,
+                                                    element_ids)[:, None]
             elif pde.kind == "helmholtz":
                 mass_flat = (_P1_MASS * (mesh.h ** 2 / 4.0)).ravel()
                 flat = flat - pde.kappa ** 2 * mass_flat[None, :]

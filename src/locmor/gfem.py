@@ -110,7 +110,9 @@ def build_patches(global_mesh, pde, source_fn, truth):
     Cores of side CORE placed on a grid of spacing STRIDE; oversampling
     extends each core by OVERLAP in every interior direction.  Each patch
     is built whole, one after the other, against the global source term
-    and reference solution truth.
+    and reference solution truth.  Patches that pose the same local
+    problem share it: it is solved once per distinct key and the cache
+    is dropped on return.
     """
     x0, x1, y0, y1 = global_mesh.bounds
     n_steps = int(round((x1 - x0 - CORE) / STRIDE)) + 1
@@ -118,6 +120,7 @@ def build_patches(global_mesh, pde, source_fn, truth):
     if abs((n_steps - 1) * STRIDE + CORE - (x1 - x0)) > _TOL:
         raise ValueError("patch grid does not tile the domain")
 
+    cache = {}
     patches = []
     for jy in range(m_steps):
         for ix in range(n_steps):
@@ -126,17 +129,83 @@ def build_patches(global_mesh, pde, source_fn, truth):
             core_box = (cx0, cx0 + CORE, cy0, cy0 + CORE)
             patches.append(_build_patch(global_mesh, pde, source_fn, truth,
                                         core_box, (ix, jy),
-                                        (n_steps, m_steps)))
+                                        (n_steps, m_steps), cache))
     return patches
 
 
-def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
-                 grid_shape):
-    """Build one complete patch around core_box.
+@dataclass(frozen=True, eq=False)
+class _LocalProblem:
+    """The part of a patch that does not depend on where it sits: range
+    index map and Grams, the dense transfer matrix and the source
+    response.  The arrays are read-only, as patches share them."""
+
+    range_ids: np.ndarray
+    range_space: InnerProductSpace
+    core_mass: object
+    over_gram: object
+    matrix: np.ndarray
+    u_f: np.ndarray
+
+
+def _problem_key(mesh, pde, source_fn, core_box, over_box,
+                 touches_dirichlet):
+    """Exact bytes of everything a local problem depends on within one
+    cover: cell counts, core offsets in cells, boundary tags, and the
+    coefficient and source term at the element centroids.  The element
+    matrices read h, orientation and coefficient, never coordinates."""
+    ox0, _, oy0, _ = over_box
+    offsets = np.rint((np.array(core_box) - [ox0, ox0, oy0, oy0]) / mesh.h)
+    cent = mesh.element_centroids()
+    return (mesh.nx, mesh.ny, offsets.astype(np.int64).tobytes(),
+            touches_dirichlet, mesh.node_tags.tobytes(),
+            pde.coefficient(cent[:, 0], cent[:, 1]).tobytes(),
+            np.asarray(source_fn(cent[:, 0], cent[:, 1]),
+                       dtype=float).tobytes())
+
+
+def _solve_local_problem(mesh, pde, source_fn, core_box, over_box,
+                         source_ids, source, touches_dirichlet):
+    """Assemble, factorize and solve one local problem.
 
     The local sparse factorization serves the source response and the
     dense transfer operator and is freed on return, so a cover holds
     one factorization at a time.
+    """
+    energy_gram, range_ids = fem.assemble_energy_product(mesh, pde, core_box)
+    range_space = InnerProductSpace(energy_gram, definite=False)
+    core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
+
+    factorization = factorize(fem.assemble_system(mesh, pde, constrain=True))
+    # local source response with zero data on the whole local boundary
+    local_load = fem.constrain_rhs(mesh, fem.load_vector(mesh, source_fn))
+    u_f = factorization.solve(local_load)[range_ids]
+    # Monte Carlo studies rerun every patch many times; the dense form
+    # amortizes the local solves across runs
+    matrix = TransferOperator(factorization, source_ids, range_ids, source,
+                              range_space).assemble_dense().matrix
+    if not touches_dirichlet:
+        # constants are flat in the energy product, so the operator maps
+        # into the range modulo constants: each image loses its core-L2
+        # projection onto the constant
+        ones = np.ones(range_ids.size)
+        k = (ones / np.sqrt(ones @ (core_mass @ ones)))[:, None]
+        matrix -= k @ (k.T @ (core_mass @ matrix))
+    matrix.setflags(write=False)
+    u_f.setflags(write=False)
+
+    over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box)
+    return _LocalProblem(range_ids=range_ids, range_space=range_space,
+                         core_mass=core_mass, over_gram=over_gram,
+                         matrix=matrix, u_f=u_f)
+
+
+def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
+                 grid_shape, cache):
+    """Build one complete patch around core_box.
+
+    The local problem is looked up in cache, a dict shared by the
+    patches of one cover, and solved and stored there on a miss; the
+    mesh, trace space, weights and truth norms are the patch's own.
     """
     gx0, gx1, gy0, gy1 = global_mesh.bounds
     cx0, cx1, cy0, cy1 = core_box
@@ -172,40 +241,30 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
     sub = loop_gram[np.ix_(np.nonzero(free)[0], np.nonzero(free)[0])]
     source_ids = loop[free]
     source = InnerProductSpace(sub)
-
-    energy_gram, range_ids = fem.assemble_energy_product(mesh, pde, core_box)
-    range_space = InnerProductSpace(energy_gram, definite=False)
-    core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
     touches_dirichlet = (abs(cx0 - gx0) <= _TOL or abs(cx1 - gx1) <= _TOL
                          or abs(cy0 - gy0) <= _TOL or abs(cy1 - gy1) <= _TOL)
 
-    factorization = factorize(fem.assemble_system(mesh, pde, constrain=True))
-    # local source response with zero data on the whole local boundary
-    local_load = fem.constrain_rhs(mesh, fem.load_vector(mesh, source_fn))
-    u_f = factorization.solve(local_load)[range_ids]
-    # Monte Carlo studies rerun every patch many times; the dense form
-    # amortizes the local solves across runs
-    operator = TransferOperator(factorization, source_ids, range_ids, source,
-                                range_space).assemble_dense()
-    if not touches_dirichlet:
-        # constants are flat in the energy product, so the operator maps
-        # into the range modulo constants: each image loses its core-L2
-        # projection onto the constant
-        ones = np.ones(range_ids.size)
-        k = (ones / np.sqrt(ones @ (core_mass @ ones)))[:, None]
-        operator.matrix -= k @ (k.T @ (core_mass @ operator.matrix))
+    key = _problem_key(mesh, pde, source_fn, core_box, over_box,
+                       touches_dirichlet)
+    local = cache.get(key)
+    if local is None:
+        local = cache[key] = _solve_local_problem(
+            mesh, pde, source_fn, core_box, over_box, source_ids, source,
+            touches_dirichlet)
 
-    over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box)
+    range_ids = local.range_ids
     u_loc = truth[local_to_global]
     return GfemPatch(
         pid=pid, grid_pos=grid_pos, core_box=core_box, over_box=over_box,
         mesh=mesh, local_to_global=local_to_global, source_ids=source_ids,
-        range_ids=range_ids, source=source, range_space=range_space,
-        core_mass=core_mass, touches_dirichlet=touches_dirichlet,
+        range_ids=range_ids, source=source, range_space=local.range_space,
+        core_mass=local.core_mass, touches_dirichlet=touches_dirichlet,
         pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
                                  grid_pos, grid_shape),
-        operator=operator, u_f=u_f,
-        truth_energy=float(np.sqrt(max(u_loc @ (over_gram @ u_loc), 0.0))),
+        operator=DenseOperator(local.matrix, source, local.range_space),
+        u_f=local.u_f,
+        truth_energy=float(np.sqrt(max(u_loc @ (local.over_gram @ u_loc),
+                                       0.0))),
         trace_norm=source.norm(truth[local_to_global[source_ids]]))
 
 

@@ -152,6 +152,16 @@ def gram_extremal_eigenvalues(gram):
 # inner product spaces
 
 
+def gram_norms(block, gram_block):
+    """Columnwise norms of a block, given its Gram image."""
+    q = np.einsum("ij,ij->j", block, gram_block)
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+def _norm(v, gram_v):
+    return float(np.sqrt(max(float(v @ gram_v), 0.0)))
+
+
 class InnerProductSpace:
     """A discrete function space with a (semi)definite Gram matrix.
 
@@ -183,16 +193,12 @@ class InnerProductSpace:
     def apply_gram(self, v):
         return self.gram @ v
 
-    def inner(self, u, v):
-        return float(u @ (self.gram @ v))
-
     def norm(self, v):
-        return float(np.sqrt(max(self.inner(v, v), 0.0)))
+        return _norm(v, self.gram @ v)
 
     def norms(self, block):
         """Columnwise norms of an (dim, k) block."""
-        q = np.einsum("ij,ij->j", block, self.gram @ block)
-        return np.sqrt(np.maximum(q, 0.0))
+        return gram_norms(block, self.gram @ block)
 
     def extremal_eigenvalues(self):
         if self._extremes is None:
@@ -303,16 +309,19 @@ class RangeBasis:
             raise ValueError("vector dimension does not match the space")
         if not np.isfinite(v).all():
             raise ValueError("non-finite vector")
-        norm0 = self.space.norm(v)
+        # each Gram image serves both a norm and a projection
+        g = self.space.apply_gram(v)
+        norm0 = _norm(v, g)
         if norm0 == 0.0:
             return False
         w = v
         if self._n:
             b = self.matrix
-            w = w - b @ (b.T @ self.space.apply_gram(w))
-            norm1 = self.space.norm(w)
+            w = w - b @ (b.T @ g)
+            g = self.space.apply_gram(w)
+            norm1 = _norm(w, g)
             if norm1 < REORTH_THRESHOLD * norm0:
-                w = w - b @ (b.T @ self.space.apply_gram(w))
+                w = w - b @ (b.T @ g)
                 norm1 = self.space.norm(w)
         else:
             norm1 = norm0

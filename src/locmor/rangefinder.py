@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import RangeBasis
+from .linalg import RangeBasis, gram_norms
 from .oracle import weighted_svd, _matrix_of
 from .special import erf_inv, gamma_q_inv
 from .transfer import DenseOperator
@@ -131,7 +131,9 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
 
     rejects = 0
     while True:
-        max_norm = float(op.range_space.norms(tests).max())
+        # one Gram image of the tests serves their norms and their update
+        g_tests = op.range_space.apply_gram(tests)
+        max_norm = float(gram_norms(tests, g_tests).max())
         estimate = c * max_norm
         basis.diagnostics.append({
             "n": len(basis),
@@ -156,7 +158,7 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
         # tests are already orthogonal to the older columns, one sweep
         # against the full basis corrects the drift
         b = basis.matrix
-        tests = tests - b @ (b.T @ op.range_space.apply_gram(tests))
+        tests = tests - b @ (b.T @ g_tests)
     return basis
 
 

@@ -45,7 +45,7 @@ def test_interior_trace_count_fine_mesh():
     assert mesh.constrained_nodes.size == 800
     pde, source = gfem_field("uniform")
     patch = _build_patch(mesh, pde, source, np.zeros(mesh.n_nodes),
-                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9))
+                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9), {})
     assert np.allclose(patch.over_box, (0.3, 0.7, 0.3, 0.7))
     assert patch.source.dim == patch.source_ids.size == 320
 
@@ -107,7 +107,7 @@ def test_single_patch_cover():
     # transfer operator, so the patch builder refuses it
     with pytest.raises(ValueError, match="free boundary"):
         _build_patch(mesh, pde, source, np.zeros(mesh.n_nodes), whole,
-                     (0, 0), (1, 1))
+                     (0, 0), (1, 1), {})
     # the weight construction itself degenerates to rho == 1
     weights = _pou_weights(mesh.coords, whole, (0, 0), (1, 1))
     assert np.array_equal(weights, np.ones(mesh.n_nodes))
@@ -137,9 +137,52 @@ def test_patches_hold_one_factorization_at_a_time(monkeypatch):
     monkeypatch.setattr(locmor.gfem, "factorize", tracked)
     pde, source = gfem_field("uniform")
     problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
-    assert len(counts) == 1 + len(problem.patches)
+    # the truth solve, then one per distinct local problem
+    assert len(counts) == 1 + 25
     assert max(counts) == 1
     assert all(type(p.operator) is DenseOperator for p in problem.patches)
+
+
+def _same_bits(a, b):
+    a, b = (np.asarray(x.toarray() if hasattr(x, "toarray") else x)
+            for x in (a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("field, distinct", [("uniform", 25),
+                                             ("channels", 55)])
+def test_patch_cache_is_exact(monkeypatch, field, distinct):
+    # patches posing the same local problem share one solve, and every
+    # shared array is bitwise what a build of that patch alone gives
+    factorize = locmor.gfem.factorize
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return factorize(matrix)
+
+    monkeypatch.setattr(locmor.gfem, "factorize", counted)
+    pde, source = gfem_field(field)
+    mesh = build_gfem_mesh(20)
+    truth = np.random.default_rng(7).standard_normal(mesh.n_nodes)
+    patches = build_patches(mesh, pde, source, truth)
+    assert len(patches) == 81
+    assert len(calls) == distinct
+    for patch in patches:
+        alone = _build_patch(mesh, pde, source, truth, patch.core_box,
+                             patch.grid_pos, (9, 9), cache={})
+        assert _same_bits(patch.operator.matrix, alone.operator.matrix)
+        assert _same_bits(patch.u_f, alone.u_f)
+        assert _same_bits(patch.range_space.gram, alone.range_space.gram)
+        assert _same_bits(patch.core_mass, alone.core_mass)
+        assert patch.truth_energy == alone.truth_energy
+        assert patch.trace_norm == alone.trace_norm
+        assert np.array_equal(patch.pou_weights, alone.pou_weights)
+        # shared arrays refuse in-place writes
+        for shared in (patch.operator.matrix, patch.u_f):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+    assert len(calls) == distinct + len(patches)
 
 
 def test_tolerance_cascade_scalings():

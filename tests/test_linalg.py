@@ -95,7 +95,7 @@ def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
     pde, load = gfem_field("channels")
     mesh = build_gfem_mesh(50)
     patch = _build_patch(mesh, pde, load, np.zeros(mesh.n_nodes),
-                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9))
+                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9), {})
     for gram in (source.gram, patch.core_mass):
         lo_dense, hi_dense = gram_extremal_eigenvalues(gram)
         with monkeypatch.context() as m:

@@ -309,3 +309,39 @@ def test_adaptive_block_matches_columnwise(sparse_ops, which):
     assert len(blocked.blocks) == 1
     assert np.array_equal(blocked.blocks[0][0], _draws(71, op.n_source, n_t))
     _assert_images_match_columns(blocked)
+
+
+class _CountingGram:
+    """A Gram matrix that counts its products with vectors and blocks."""
+
+    def __init__(self, gram):
+        self.gram = gram
+        self.vector = 0
+        self.block = 0
+
+    def __matmul__(self, x):
+        if np.ndim(x) == 1:
+            self.vector += 1
+        else:
+            self.block += 1
+        return self.gram @ x
+
+
+def test_adaptive_makes_one_gram_product_per_vector():
+    # rank 6 with a flat spectrum: six accepted draws, none of which
+    # needs a second Gram-Schmidt sweep at this seed
+    rng = np.random.default_rng(79)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 6)))
+    w, _ = np.linalg.qr(rng.standard_normal((9, 6)))
+    range_space = InnerProductSpace(np.diag(rng.uniform(1.0, 2.0, 60)))
+    gram = range_space.gram = _CountingGram(range_space.gram)
+    op = DenseOperator(q @ w.T, InnerProductSpace.euclidean(9), range_space)
+    basis = adaptive_randomized_range(op, 1e-8, 5, 1e-10, RngStream(83))
+    assert len(basis) == 6
+    assert basis.evaluations == len(basis) + 5
+    # the tests' Gram image serves their norms and their update
+    assert gram.block == len(basis.diagnostics)
+    # one image of each draw for its norm and projection, one of the
+    # projected vector for its norm; the first draw has nothing to
+    # project against
+    assert gram.vector == 2 * len(basis) - 1
