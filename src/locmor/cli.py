@@ -6,8 +6,13 @@
 """
 
 import argparse
+import ctypes
 import json
 import sys
+from pathlib import Path
+
+import numpy
+import scipy.linalg  # loads scipy's OpenBLAS copy
 
 from .experiments import (EXPERIMENT_IDS, ExperimentConfig, default_config,
                           run_experiment)
@@ -40,8 +45,38 @@ def _build_parser():
     return parser
 
 
+# numpy's and scipy's bundled OpenBLAS copies: (package, library
+# directory beside it, file pattern, thread setter)
+_OPENBLAS_COPIES = (
+    (numpy, "numpy.libs", "libscipy_openblas64_*.so",
+     "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy.libs", "libscipy_openblas-*.so",
+     "scipy_openblas_set_num_threads"),
+)
+
+
+def _pin_blas_threads():
+    """Run both bundled OpenBLAS copies on one thread.
+
+    numpy is loaded before any code here runs, so the thread variables
+    come too late; the setters are called through ctypes instead.  Tiny
+    dense calls dominate the experiments, and results then do not depend
+    on the core count.  A numpy or scipy built against another BLAS is
+    left alone.
+    """
+    for package, libdir, pattern, setter in _OPENBLAS_COPIES:
+        site = Path(package.__file__).resolve().parent.parent / libdir
+        for path in site.glob(pattern):
+            # dlopen of a loaded library returns that same copy
+            set_threads = getattr(ctypes.CDLL(str(path)), setter)
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    _pin_blas_threads()
 
     if args.command == "list":
         for name in EXPERIMENT_IDS:

@@ -277,22 +277,27 @@ def _tri_reference_matrices(h):
 # assembly
 
 
-def _centroid_coefficient(mesh, pde, element_ids):
-    """PDE coefficient at the centroids of the given elements (all if
-    None)."""
+def centroid_values(mesh, f):
+    """Values of a field f(x, y) at every element centroid."""
     cent = mesh.element_centroids()
-    if element_ids is not None:
-        cent = cent[element_ids]
-    return pde.coefficient(cent[:, 0], cent[:, 1])
+    return np.asarray(f(cent[:, 0], cent[:, 1]), dtype=float)
 
 
-def _element_entries(mesh, pde, element_ids=None, what="system"):
-    """COO triplets (rows, cols, data) over a subset of elements."""
+def _element_entries(mesh, pde, element_ids=None, what="system",
+                     coefficient=None):
+    """COO triplets (rows, cols, data) over a subset of elements;
+    coefficient optionally holds the PDE coefficient at every element
+    centroid, as centroid_values gives it."""
     conn = mesh.elements
     if element_ids is not None:
         conn = conn[element_ids]
     nel = conn.shape[0]
     npe = conn.shape[1]
+    if what == "system" and pde.kind == "diffusion":
+        if coefficient is None:
+            coefficient = centroid_values(mesh, pde.coefficient)
+        if element_ids is not None:
+            coefficient = coefficient[element_ids]
 
     if mesh.kind == "q1":
         if what == "mass":
@@ -301,8 +306,7 @@ def _element_entries(mesh, pde, element_ids=None, what="system"):
         else:
             base = _Q1_STIFF
             if pde.kind == "diffusion":
-                k = _centroid_coefficient(mesh, pde, element_ids)
-                data = (k[:, None] * base.ravel()[None, :]).ravel()
+                data = (coefficient[:, None] * base.ravel()[None, :]).ravel()
             elif pde.kind == "helmholtz":
                 base = base - pde.kappa ** 2 * _Q1_MASS * mesh.h ** 2
                 data = np.tile(base.ravel(), nel)
@@ -320,8 +324,7 @@ def _element_entries(mesh, pde, element_ids=None, what="system"):
             orientation = ids // n_sq
             flat = np.stack([s.ravel() for s in stiffs])[orientation]
             if pde.kind == "diffusion":
-                flat = flat * _centroid_coefficient(mesh, pde,
-                                                    element_ids)[:, None]
+                flat = flat * coefficient[:, None]
             elif pde.kind == "helmholtz":
                 mass_flat = (_P1_MASS * (mesh.h ** 2 / 4.0)).ravel()
                 flat = flat - pde.kappa ** 2 * mass_flat[None, :]
@@ -332,14 +335,16 @@ def _element_entries(mesh, pde, element_ids=None, what="system"):
     return rows, cols, data
 
 
-def assemble_system(mesh, pde, constrain=True):
+def assemble_system(mesh, pde, constrain=True, coefficient=None):
     """Assemble the PDE system matrix as CSR.
 
     With constrain=True, rows of gamma_out/sigma_D nodes are replaced by
     identity rows (columns are left untouched, so interior equations keep
-    their coupling to the lifted boundary data).
+    their coupling to the lifted boundary data).  coefficient: see
+    _element_entries.
     """
-    rows, cols, data = _element_entries(mesh, pde, what="system")
+    rows, cols, data = _element_entries(mesh, pde, what="system",
+                                        coefficient=coefficient)
     if constrain:
         constrained = np.zeros(mesh.n_nodes, dtype=bool)
         constrained[mesh.constrained_nodes] = True
@@ -361,14 +366,15 @@ def assemble_mass(mesh):
     return mat.tocsr()
 
 
-def _subdomain_gram(mesh, pde, box, what):
+def _subdomain_gram(mesh, pde, box, what, coefficient=None):
     """Element matrices of the elements inside a box, summed on the
     nodes of those elements; returns (gram, node_ids)."""
     element_ids = mesh.elements_in_box(box)
     if element_ids.size == 0:
         raise ValueError("box contains no whole element")
     node_ids = np.unique(mesh.elements[element_ids])
-    rows, cols, data = _element_entries(mesh, pde, element_ids, what=what)
+    rows, cols, data = _element_entries(mesh, pde, element_ids, what=what,
+                                        coefficient=coefficient)
     lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
     lookup[node_ids] = np.arange(node_ids.size)
     r = lookup[rows]
@@ -379,18 +385,19 @@ def _subdomain_gram(mesh, pde, box, what):
     return mat.tocsr(), node_ids
 
 
-def assemble_energy_product(mesh, pde, box):
+def assemble_energy_product(mesh, pde, box, coefficient=None):
     """Energy (semi)inner product over the elements inside a box.
 
     Returns (gram, node_ids): the stiffness restricted to the subdomain
     nodes.  The Gram is only semidefinite (constants are flat); it is
     stored unregularized and callers deflate the kernel where needed.
+    coefficient: see _element_entries.
     """
     if pde.kind == "helmholtz":
         # energy norm of the indefinite operator is taken from its
         # principal (Laplace) part
         pde = PdeSpec()
-    return _subdomain_gram(mesh, pde, box, "system")
+    return _subdomain_gram(mesh, pde, box, "system", coefficient)
 
 
 def assemble_mass_subdomain(mesh, box):
@@ -402,10 +409,10 @@ def load_vector(mesh, f):
     """Consistent load for a source term.
 
     f is a callable (x, y) -> value, evaluated at element centroids
-    (matching the piecewise-constant source fields of the model problems).
+    (matching the piecewise-constant source fields of the model problems),
+    or the array of those values as centroid_values gives it.
     """
-    cent = mesh.element_centroids()
-    values = np.asarray(f(cent[:, 0], cent[:, 1]), dtype=float)
+    values = centroid_values(mesh, f) if callable(f) else f
     conn = mesh.elements
     if mesh.kind == "q1":
         share = values * mesh.h ** 2 / 4.0

@@ -8,8 +8,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import fem
-from .fem import GAMMA_OUT, build_rect_mesh, path_l2_gram
+from . import fem, linalg
+from .fem import GAMMA_OUT, build_rect_mesh, centroid_values, path_l2_gram
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
 from .transfer import DenseOperator, TransferOperator
@@ -33,7 +33,14 @@ class GfemPatch:
     """One overlapping patch, complete once built: core and oversampled
     boxes, local mesh and index maps, trace source space, energy range
     space, core L2 Gram, partition-of-unity weights, the dense transfer
-    operator, and the patch's share of the reference solution."""
+    operator, and the patch's share of the reference solution.
+
+    Every transfer image is discrete-harmonic inside the core, so the
+    operator maps onto its trace on Γ, the free nodes of the core-box
+    boundary, normed by the Schur complement of the core energy Gram;
+    extension lifts a trace to the range_ids nodes (harmonic inside,
+    zero at clamped nodes) without changing its energy norm.
+    """
 
     pid: int
     grid_pos: tuple
@@ -49,6 +56,7 @@ class GfemPatch:
     touches_dirichlet: bool
     pou_weights: np.ndarray
     operator: DenseOperator
+    extension: np.ndarray
     u_f: np.ndarray
     truth_energy: float
     trace_norm: float
@@ -114,6 +122,9 @@ def build_patches(global_mesh, pde, source_fn, truth):
     problem share it: it is solved once per distinct key and the cache
     is dropped on return.
     """
+    if pde.kind == "helmholtz":
+        # the core trace view needs images harmonic in the energy product
+        raise ValueError("GFEM patches need a laplace or diffusion pde")
     x0, x1, y0, y1 = global_mesh.bounds
     n_steps = int(round((x1 - x0 - CORE) / STRIDE)) + 1
     m_steps = int(round((y1 - y0 - CORE) / STRIDE)) + 1
@@ -136,67 +147,107 @@ def build_patches(global_mesh, pde, source_fn, truth):
 @dataclass(frozen=True, eq=False)
 class _LocalProblem:
     """The part of a patch that does not depend on where it sits: range
-    index map and Grams, the dense transfer matrix and the source
-    response.  The arrays are read-only, as patches share them."""
+    index map and Grams, the dense trace transfer matrix with its trace
+    space and harmonic extension, and the source response.  The arrays
+    are read-only, as patches share them."""
 
     range_ids: np.ndarray
     range_space: InnerProductSpace
     core_mass: object
     over_gram: object
     matrix: np.ndarray
+    trace_space: InnerProductSpace
+    extension: np.ndarray
     u_f: np.ndarray
 
 
-def _problem_key(mesh, pde, source_fn, core_box, over_box,
-                 touches_dirichlet):
+def _problem_key(mesh, core_box, over_box, touches_dirichlet, coefficient,
+                 load):
     """Exact bytes of everything a local problem depends on within one
     cover: cell counts, core offsets in cells, boundary tags, and the
     coefficient and source term at the element centroids.  The element
     matrices read h, orientation and coefficient, never coordinates."""
     ox0, _, oy0, _ = over_box
     offsets = np.rint((np.array(core_box) - [ox0, ox0, oy0, oy0]) / mesh.h)
-    cent = mesh.element_centroids()
     return (mesh.nx, mesh.ny, offsets.astype(np.int64).tobytes(),
             touches_dirichlet, mesh.node_tags.tobytes(),
-            pde.coefficient(cent[:, 0], cent[:, 1]).tobytes(),
-            np.asarray(source_fn(cent[:, 0], cent[:, 1]),
-                       dtype=float).tobytes())
+            coefficient.tobytes(), load.tobytes())
 
 
-def _solve_local_problem(mesh, pde, source_fn, core_box, over_box,
+def _core_trace_split(mesh, range_ids, core_box):
+    """Positions in range_ids of Γ, the free nodes on the core-box
+    boundary, and of the nodes inside the core; clamped nodes, which
+    lie on the boundary, are in neither."""
+    x, y = mesh.coords[range_ids].T
+    cx0, cx1, cy0, cy1 = core_box
+    on_boundary = ((np.abs(x - cx0) <= _TOL) | (np.abs(x - cx1) <= _TOL)
+                   | (np.abs(y - cy0) <= _TOL) | (np.abs(y - cy1) <= _TOL))
+    clamped = np.isin(range_ids, mesh.constrained_nodes)
+    return (np.nonzero(on_boundary & ~clamped)[0],
+            np.nonzero(~on_boundary)[0])
+
+
+def _trace_transfer(mesh, pde, coefficient, load, source_ids, source,
+                    range_ids, gamma_ids):
+    """Dense transfer matrix onto the nodes gamma_ids and the source
+    response at range_ids, from one local factorization that is freed
+    on return, so a cover holds one factorization at a time."""
+    factorization = factorize(fem.assemble_system(
+        mesh, pde, constrain=True, coefficient=coefficient))
+    # local source response with zero data on the whole local boundary
+    u_f = factorization.solve(
+        fem.constrain_rhs(mesh, fem.load_vector(mesh, load)))[range_ids]
+    # Monte Carlo studies rerun every patch many times; the dense form
+    # amortizes the local solves across runs.  The range product does
+    # not enter the assembly.
+    matrix = TransferOperator(
+        factorization, source_ids, gamma_ids, source,
+        InnerProductSpace.euclidean(gamma_ids.size)).assemble_dense().matrix
+    return matrix, u_f
+
+
+def _harmonic_extension(m, gamma, inner):
+    """Extension E from Γ to all core nodes, the identity on Γ, zero at
+    clamped nodes and discrete-harmonic inside, and the Schur-complement
+    Gram S = E^T M E on Γ of the core energy Gram M (CSR)."""
+    m_inner = m[inner]
+    extension = np.zeros((m.shape[0], gamma.size))
+    extension[gamma, np.arange(gamma.size)] = 1.0
+    extension[inner] = -linalg.factorize(m_inner[:, inner]).solve(
+        m_inner[:, gamma].toarray())
+    schur = extension.T @ (m @ extension)
+    return extension, 0.5 * (schur + schur.T)
+
+
+def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
                          source_ids, source, touches_dirichlet):
-    """Assemble, factorize and solve one local problem.
-
-    The local sparse factorization serves the source response and the
-    dense transfer operator and is freed on return, so a cover holds
-    one factorization at a time.
-    """
-    energy_gram, range_ids = fem.assemble_energy_product(mesh, pde, core_box)
+    """Assemble, factorize and solve one local problem on the trace Γ of
+    its core, with the harmonic extension back to the core nodes."""
+    energy_gram, range_ids = fem.assemble_energy_product(
+        mesh, pde, core_box, coefficient)
     range_space = InnerProductSpace(energy_gram, definite=False)
     core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
-
-    factorization = factorize(fem.assemble_system(mesh, pde, constrain=True))
-    # local source response with zero data on the whole local boundary
-    local_load = fem.constrain_rhs(mesh, fem.load_vector(mesh, source_fn))
-    u_f = factorization.solve(local_load)[range_ids]
-    # Monte Carlo studies rerun every patch many times; the dense form
-    # amortizes the local solves across runs
-    matrix = TransferOperator(factorization, source_ids, range_ids, source,
-                              range_space).assemble_dense().matrix
+    gamma, inner = _core_trace_split(mesh, range_ids, core_box)
+    matrix, u_f = _trace_transfer(mesh, pde, coefficient, load, source_ids,
+                                  source, range_ids, range_ids[gamma])
+    extension, schur = _harmonic_extension(energy_gram, gamma, inner)
     if not touches_dirichlet:
         # constants are flat in the energy product, so the operator maps
         # into the range modulo constants: each image loses its core-L2
-        # projection onto the constant
-        ones = np.ones(range_ids.size)
-        k = (ones / np.sqrt(ones @ (core_mass @ ones)))[:, None]
-        matrix -= k @ (k.T @ (core_mass @ matrix))
-    matrix.setflags(write=False)
-    u_f.setflags(write=False)
+        # projection onto the constant, in Γ coordinates as E 1 = 1 here
+        mass_ones = core_mass @ np.ones(range_ids.size)
+        r = (mass_ones @ extension) / mass_ones.sum()
+        matrix -= r @ matrix
+    for array in (matrix, extension, schur, u_f):
+        array.setflags(write=False)
 
-    over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box)
+    over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box,
+                                               coefficient)
     return _LocalProblem(range_ids=range_ids, range_space=range_space,
                          core_mass=core_mass, over_gram=over_gram,
-                         matrix=matrix, u_f=u_f)
+                         matrix=matrix,
+                         trace_space=InnerProductSpace(schur, definite=False),
+                         extension=extension, u_f=u_f)
 
 
 def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
@@ -244,13 +295,15 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
     touches_dirichlet = (abs(cx0 - gx0) <= _TOL or abs(cx1 - gx1) <= _TOL
                          or abs(cy0 - gy0) <= _TOL or abs(cy1 - gy1) <= _TOL)
 
-    key = _problem_key(mesh, pde, source_fn, core_box, over_box,
-                       touches_dirichlet)
+    coefficient = centroid_values(mesh, pde.coefficient)
+    load = centroid_values(mesh, source_fn)
+    key = _problem_key(mesh, core_box, over_box, touches_dirichlet,
+                       coefficient, load)
     local = cache.get(key)
     if local is None:
         local = cache[key] = _solve_local_problem(
-            mesh, pde, source_fn, core_box, over_box, source_ids, source,
-            touches_dirichlet)
+            mesh, pde, coefficient, load, core_box, over_box, source_ids,
+            source, touches_dirichlet)
 
     range_ids = local.range_ids
     u_loc = truth[local_to_global]
@@ -261,8 +314,8 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
         core_mass=local.core_mass, touches_dirichlet=touches_dirichlet,
         pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
                                  grid_pos, grid_shape),
-        operator=DenseOperator(local.matrix, source, local.range_space),
-        u_f=local.u_f,
+        operator=DenseOperator(local.matrix, source, local.trace_space),
+        extension=local.extension, u_f=local.u_f,
         truth_energy=float(np.sqrt(max(u_loc @ (local.over_gram @ u_loc),
                                        0.0))),
         trace_norm=source.norm(truth[local_to_global[source_ids]]))
@@ -338,15 +391,16 @@ def local_space(patch, tol, n_t, eps_algofail, rng, u_f):
     """Run the adaptive rangefinder on one patch and augment the basis.
 
     tol is the absolute operator-norm tolerance for the patch transfer
-    map.  The combined basis is orthonormalized in L2 over the core (the
-    energy seminorm cannot normalize the constant), dropping dependent
-    vectors.
+    map.  The random basis lives on the core trace Γ; its harmonic
+    extensions, the source response and the constant make the combined
+    basis, orthonormalized in L2 over the core (the energy seminorm
+    cannot normalize the constant), dropping dependent vectors.
     """
     basis = adaptive_randomized_range(patch.operator, tol, n_t,
                                       eps_algofail, rng)
     l2_space = InnerProductSpace(patch.core_mass)
     combined = RangeBasis(l2_space)
-    combined.extend_block(basis.matrix)
+    combined.extend_block(patch.extension @ basis.matrix)
     includes_data = combined.extend(u_f)
     includes_kernel = False
     if not patch.touches_dirichlet:

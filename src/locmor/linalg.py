@@ -99,10 +99,11 @@ class Factorization:
                 "near-resonant or singular system: pivot "
                 f"{pivots.min():.3e} below {PIVOT_RTOL:.0e} * max|A|")
 
-    def solve(self, b):
-        """Solve A x = b for one right-hand side or a column block."""
+    def solve(self, b, trans="N"):
+        """Solve A x = b, or A^T x = b with trans="T", for one right-hand
+        side or a column block."""
         b = np.asarray(b, dtype=float)
-        return self._lu.solve(b)
+        return self._lu.solve(b, trans=trans)
 
 
 def factorize(matrix):

@@ -70,14 +70,24 @@ class TransferOperator:
         return self.factorization.solve(rhs)[self.range_ids]
 
     def assemble_dense(self):
-        """Dense form from one block solve on the identity.  Refuses
-        above DENSE_GUARD source dimensions."""
+        """Dense form from one block solve on the identity: forward over
+        the source columns, or transposed over the range rows when there
+        are fewer of them.  Refuses above DENSE_GUARD source dimensions."""
         if self.n_source > DENSE_GUARD:
             raise ValueError(
                 f"dense assembly of {self.n_source} columns exceeds the "
                 f"guard of {DENSE_GUARD}")
-        return DenseOperator(self.apply_block(np.eye(self.n_source)),
-                             self.source, self.range_space)
+        n_range = self.range_ids.size
+        if n_range >= self.n_source:
+            matrix = self.apply_block(np.eye(self.n_source))
+        else:
+            # row i of the operator is row range_ids[i] of the inverse,
+            # read at the source columns: one solve with the transpose
+            rhs = np.zeros((self.n_total, n_range))
+            rhs[self.range_ids, np.arange(n_range)] = 1.0
+            rows = self.factorization.solve(rhs, trans="T")
+            matrix = np.ascontiguousarray(rows[self.source_ids].T)
+        return DenseOperator(matrix, self.source, self.range_space)
 
 
 class ResidualOperator:

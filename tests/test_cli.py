@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -334,6 +335,39 @@ def test_module_entry_point_matches_script():
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.splitlines() == EXPERIMENT_IDS
+
+
+# runs `python -m locmor list`, then prints the live thread count of
+# numpy's and of scipy's bundled OpenBLAS
+_READ_BLAS_THREADS = """
+import ctypes, runpy, sys
+from pathlib import Path
+import numpy, scipy.linalg
+sys.argv = ["locmor", "list"]
+try:
+    runpy.run_module("locmor", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+for package, libdir, pattern, suffix in (
+        (numpy, "numpy.libs", "libscipy_openblas64_*.so", "64_"),
+        (scipy, "scipy.libs", "libscipy_openblas-*.so", "")):
+    site = Path(package.__file__).resolve().parent.parent / libdir
+    (path,) = site.glob(pattern)
+    lib = ctypes.CDLL(str(path))
+    print(getattr(lib, "scipy_openblas_get_num_threads" + suffix)(),
+          file=sys.stderr)
+"""
+
+
+def test_module_entry_point_pins_blas_to_one_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    done = subprocess.run([sys.executable, "-c", _READ_BLAS_THREADS],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == EXPERIMENT_IDS
+    assert done.stderr.split() == ["1", "1"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 import locmor.gfem
-from locmor.fem import build_rect_mesh
-from locmor.gfem import (LocalReducedSpace, _build_patch, _pou_weights,
-                         assemble_gfem_and_solve, build_gfem_problem,
-                         build_patches, cover_overlap_bound, gfem_run,
-                         local_space, partition_of_unity, tolerance_cascade)
-from locmor.linalg import RangeBasis
+import locmor.linalg
+from locmor.fem import PdeSpec, assemble_system, build_rect_mesh
+from locmor.gfem import (LocalReducedSpace, _build_patch, _core_trace_split,
+                         _pou_weights, assemble_gfem_and_solve,
+                         build_gfem_problem, build_patches,
+                         cover_overlap_bound, gfem_run, local_space,
+                         partition_of_unity, tolerance_cascade)
+from locmor.linalg import RangeBasis, factorize
 from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, gfem_field
 from locmor.rangefinder import RngStream
-from locmor.transfer import DenseOperator
+from locmor.transfer import DenseOperator, TransferOperator
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,32 @@ def test_patches_hold_one_factorization_at_a_time(monkeypatch):
     assert all(type(p.operator) is DenseOperator for p in problem.patches)
 
 
+def test_extension_factorization_follows_patch_factorization(monkeypatch):
+    # the core factorization behind each harmonic extension is made only
+    # after the patch factorization is freed, so counting both kinds,
+    # one factorization is alive at a time
+    alive = []
+    counts = []
+
+    def tracked(factorize):
+        def wrapper(matrix):
+            factorization = factorize(matrix)
+            alive.append(weakref.ref(factorization))
+            counts.append(sum(ref() is not None for ref in alive))
+            return factorization
+        return wrapper
+
+    monkeypatch.setattr(locmor.gfem, "factorize",
+                        tracked(locmor.gfem.factorize))
+    monkeypatch.setattr(locmor.linalg, "factorize",
+                        tracked(locmor.linalg.factorize))
+    pde, source = gfem_field("uniform")
+    build_gfem_problem(build_gfem_mesh(20), pde, source)
+    # the truth solve, then a patch and a core one per distinct problem
+    assert len(counts) == 1 + 2 * 25
+    assert max(counts) == 1
+
+
 def _same_bits(a, b):
     a, b = (np.asarray(x.toarray() if hasattr(x, "toarray") else x)
             for x in (a, b))
@@ -172,6 +200,9 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         alone = _build_patch(mesh, pde, source, truth, patch.core_box,
                              patch.grid_pos, (9, 9), cache={})
         assert _same_bits(patch.operator.matrix, alone.operator.matrix)
+        assert _same_bits(patch.operator.range_space.gram,
+                          alone.operator.range_space.gram)
+        assert _same_bits(patch.extension, alone.extension)
         assert _same_bits(patch.u_f, alone.u_f)
         assert _same_bits(patch.range_space.gram, alone.range_space.gram)
         assert _same_bits(patch.core_mass, alone.core_mass)
@@ -179,10 +210,70 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         assert patch.trace_norm == alone.trace_norm
         assert np.array_equal(patch.pou_weights, alone.pou_weights)
         # shared arrays refuse in-place writes
-        for shared in (patch.operator.matrix, patch.u_f):
+        for shared in (patch.operator.matrix, patch.extension,
+                       patch.operator.range_space.gram, patch.u_f):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.0
     assert len(calls) == distinct + len(patches)
+
+
+@pytest.mark.parametrize("field", ["uniform", "channels"])
+def test_trace_operator_lifts_to_nodal_operator(field):
+    # interior, edge and corner patch of the 20-cell mesh: Γ has 16, 11
+    # and 7 free core-boundary nodes.  Measured worst cases over both
+    # fields: |E 1 - 1| 6.7e-16, |M_I E| 1.1e-16 |M| |E|, lifted operator
+    # 2.6e-13 and norms 5.1e-15 relative
+    pde, source = gfem_field(field)
+    problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
+    rng = np.random.default_rng(17)
+    for grid_pos, n_gamma in (((4, 4), 16), ((0, 4), 11), ((0, 0), 7)):
+        patch = next(p for p in problem.patches if p.grid_pos == grid_pos)
+        ext = patch.extension
+        trace = patch.operator.matrix
+        gamma, inner = _core_trace_split(patch.mesh, patch.range_ids,
+                                         patch.core_box)
+        clamped = np.setdiff1d(np.arange(patch.n_range),
+                               np.concatenate([gamma, inner]))
+        assert gamma.size == n_gamma == ext.shape[1] == trace.shape[0]
+        assert clamped.size == (0 if grid_pos == (4, 4) else
+                                5 if grid_pos == (0, 4) else 9)
+        # identity on Γ, zero at clamped nodes, harmonic inside
+        assert np.array_equal(ext[gamma], np.eye(n_gamma))
+        assert not ext[clamped].any()
+        gram = patch.range_space.gram
+        assert np.abs(gram[inner] @ ext).max() \
+            <= 1e-14 * abs(gram).max() * np.abs(ext).max()
+        if not patch.touches_dirichlet:
+            assert np.abs(ext @ np.ones(n_gamma) - 1.0).max() <= 1e-14
+
+        # the lifted trace operator is the nodal transfer operator with
+        # the core-L2 constant projected out on interior patches
+        nodal = TransferOperator(
+            factorize(assemble_system(patch.mesh, pde)), patch.source_ids,
+            patch.range_ids, patch.source,
+            patch.range_space).apply_block(np.eye(patch.source.dim))
+        if not patch.touches_dirichlet:
+            ones = np.ones(patch.n_range)
+            mass = patch.core_mass
+            nodal -= np.outer(ones, (ones @ (mass @ nodal))
+                              / (ones @ (mass @ ones)))
+        assert np.abs(ext @ trace - nodal).max() \
+            <= 1e-12 * np.abs(nodal).max()
+
+        # the trace Gram is the core energy of the extension
+        images = trace @ rng.standard_normal((patch.source.dim, 8))
+        trace_norms = patch.operator.range_space.norms(images)
+        core_norms = patch.range_space.norms(ext @ images)
+        assert np.abs(trace_norms - core_norms).max() \
+            <= 1e-13 * core_norms.max()
+
+
+def test_patches_refuse_helmholtz():
+    mesh = build_gfem_mesh(10)
+    _, source = gfem_field("uniform")
+    with pytest.raises(ValueError, match="laplace or diffusion"):
+        build_patches(mesh, PdeSpec("helmholtz", kappa=1.0), source,
+                      np.zeros(mesh.n_nodes))
 
 
 def test_tolerance_cascade_scalings():
