@@ -5,8 +5,8 @@ from .fem import PdeSpec, RectMesh, build_rect_mesh
 from .gfem import (build_gfem_problem, build_patches, gfem_run, local_space,
                    partition_of_unity, tolerance_cascade)
 from .linalg import InnerProductSpace, NearSingularError, RangeBasis, factorize
-from .oracle import (analytic_interface_sigma, operator_norm,
-                     transfer_eigenproblem, weighted_svd)
+from .oracle import (analytic_interface_sigma, transfer_eigenproblem,
+                     weighted_svd)
 from .problems import build_gfem_mesh, build_interface_transfer, gfem_field
 from .rangefinder import (RngStream, a_priori_bound, adaptive_randomized_range,
                           c_eff, c_est, fixed_rank_range, norm_estimate,
@@ -40,7 +40,6 @@ __all__ = [
     "gfem_run",
     "local_space",
     "norm_estimate",
-    "operator_norm",
     "partition_of_unity",
     "projection_error",
     "tolerance_cascade",

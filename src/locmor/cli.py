@@ -2,7 +2,7 @@
 
     locmor list
     locmor defaults example1-fixed > cfg.json
-    locmor run --config cfg.json [--seed N] [--runs N] [--out DIR] [--threads N]
+    locmor run --config cfg.json [--seed N] [--runs N] [--out DIR]
 """
 
 import argparse
@@ -34,8 +34,6 @@ def _build_parser():
                      help="override the number of Monte Carlo runs")
     run.add_argument("--out", default=None,
                      help="override the output directory")
-    run.add_argument("--threads", type=int, default=None,
-                     help="override the worker thread count")
 
     defaults = sub.add_parser(
         "defaults", help="print the default config for an experiment")
@@ -88,7 +86,7 @@ def main(argv=None):
         return 0
 
     overrides = {key: getattr(args, key)
-                 for key in ("seed", "runs", "out", "threads")
+                 for key in ("seed", "runs", "out")
                  if getattr(args, key) is not None}
     try:
         cfg = ExperimentConfig.from_json(args.config, **overrides)

@@ -148,7 +148,6 @@ class ExperimentConfig:
     seed: int = 0
     runs: int = None
     out: str = "results"
-    threads: int = 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -156,7 +155,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {', '.join(EXPERIMENT_IDS)}")
-        self.threads = _check_integer("threads", self.threads, 1)
         if self.runs is not None:
             self.runs = _check_integer("runs", self.runs, 1)
         # the seed is written to the outputs, so an integral float stays
@@ -202,7 +200,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"config schema_version must be {SCHEMA_VERSION}, "
                 f"got {version!r}")
-        known = {"experiment", "seed", "runs", "out", "threads", "params"}
+        known = {"experiment", "seed", "runs", "out", "params"}
         unknown = set(cfg) - known
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -229,7 +227,6 @@ def default_config(experiment):
         "experiment": experiment,
         "seed": 0,
         "out": "results",
-        "threads": 1,
         "params": dict(EXPERIMENT_DEFAULTS[experiment]),
     }
 
@@ -488,9 +485,8 @@ def run_example4_gfem(cfg, outdir):
                 # patch stream keys shift the seed, which needs an int
                 seed = int(cfg.seed) + run_index
                 run_index += 1
-                result, spaces = gfem_run(
-                    problem, tol, p["n_t"], p["eps_algofail"], seed,
-                    threads=cfg.threads)
+                result, spaces = gfem_run(problem, tol, p["n_t"],
+                                          p["eps_algofail"], seed)
                 total_evals = sum(s.evaluations for s in spaces)
                 global_rows.append((
                     field_name, tol, seed, result.global_error,

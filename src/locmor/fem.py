@@ -18,8 +18,6 @@ _TAG_NAMES = {
     "sigma_N": SIGMA_N,
     "sigma_D": SIGMA_D,
 }
-# when two differently tagged edges meet in a corner
-_TAG_PRECEDENCE = {GAMMA_OUT: 3, SIGMA_D: 2, SIGMA_N: 1, INTERIOR: 0}
 
 _GEOM_TOL = 1e-9
 
@@ -168,14 +166,12 @@ class RectMesh:
                           | (self.node_tags == SIGMA_D))[0]
 
 
-def build_rect_mesh(bounds, h, kind="q1", boundary_spec=None, tag_fn=None):
+def build_rect_mesh(bounds, h, kind="q1", tag_fn=None):
     """Build a RectMesh and tag its boundary nodes.
 
-    boundary_spec maps edge names ('left', 'right', 'bottom', 'top') or
-    'all' to tag names ('gamma_out', 'sigma_N', 'sigma_D'); untagged edges
-    default to sigma_N.  Where differently tagged edges meet, gamma_out
-    wins over sigma_D wins over sigma_N.  tag_fn(x, y) -> tag name, if
-    given, overrides the edge rules node by node.
+    tag_fn(x, y) -> tag name ('gamma_out', 'sigma_N' or 'sigma_D') is
+    called once per boundary node; without it every boundary node is
+    sigma_N.
     """
     if kind not in ("q1", "p1x"):
         raise ValueError(f"unknown mesh kind {kind!r}")
@@ -189,33 +185,17 @@ def build_rect_mesh(bounds, h, kind="q1", boundary_spec=None, tag_fn=None):
             raise ValueError(
                 f"side length {length} is not an integer multiple of h = {h}")
 
-    spec = dict(boundary_spec or {})
-    if "all" in spec:
-        tag_all = spec.pop("all")
-        spec = {e: tag_all for e in ("left", "right", "bottom", "top")}
-    for edge in ("left", "right", "bottom", "top"):
-        spec.setdefault(edge, "sigma_N")
-    edge_tags = {e: _TAG_NAMES[spec[e]] for e in spec}
-
     mesh = RectMesh(bounds, h, kind, node_tags=None)
-    tags = np.full(mesh.n_nodes, INTERIOR, dtype=np.int8)
     cx = mesh.coords[:, 0]
     cy = mesh.coords[:, 1]
-    edges = {
-        "left": np.abs(cx - x0) <= _GEOM_TOL,
-        "right": np.abs(cx - x1) <= _GEOM_TOL,
-        "bottom": np.abs(cy - y0) <= _GEOM_TOL,
-        "top": np.abs(cy - y1) <= _GEOM_TOL,
-    }
-    for edge, mask in edges.items():
-        t = edge_tags[edge]
-        ids = np.nonzero(mask)[0]
-        for nid in ids:
-            if _TAG_PRECEDENCE[t] > _TAG_PRECEDENCE[tags[nid]]:
-                tags[nid] = t
+    on_boundary = ((np.abs(cx - x0) <= _GEOM_TOL)
+                   | (np.abs(cx - x1) <= _GEOM_TOL)
+                   | (np.abs(cy - y0) <= _GEOM_TOL)
+                   | (np.abs(cy - y1) <= _GEOM_TOL))
+    tags = np.full(mesh.n_nodes, INTERIOR, dtype=np.int8)
+    tags[on_boundary] = SIGMA_N
     if tag_fn is not None:
-        on_boundary = np.nonzero(tags != INTERIOR)[0]
-        for nid in on_boundary:
+        for nid in np.nonzero(on_boundary)[0]:
             tags[nid] = _TAG_NAMES[tag_fn(cx[nid], cy[nid])]
     mesh.node_tags = tags
     return mesh

@@ -30,54 +30,11 @@ def _as_2d_array(m):
 
 
 # ---------------------------------------------------------------------------
-# dense decompositions
-
-
-def dense_svd(a):
-    """Economy SVD of a dense matrix.
-
-    Returns (u, s, vt) with a = u @ diag(s) @ vt and s non-increasing.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("dense_svd expects a matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("dense_svd: non-finite entries")
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD iteration failed to converge: {exc}") from exc
-
-
-def generalized_symmetric_eig(a, m):
-    """Solve a x = lam * m x for symmetric a and SPD m.
-
-    Returns (lam, vecs) with lam non-increasing and vecs m-orthonormal
-    (columns).
-    """
-    a = _as_2d_array(a)
-    m = _as_2d_array(m)
-    try:
-        lam, vecs = scipy.linalg.eigh(a, m)
-    except scipy.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"generalized eigensolve failed (mass matrix not SPD?): {exc}"
-        ) from exc
-    order = np.argsort(lam)[::-1]
-    return lam[order], vecs[:, order]
-
-
-# ---------------------------------------------------------------------------
 # sparse factorization
 
 
 class Factorization:
-    """LU factorization of a sparse matrix with reusable solves.
-
-    solve() is read-only and may be called concurrently once the
-    factorization exists.
-    """
+    """LU factorization of a sparse matrix with reusable solves."""
 
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
@@ -235,8 +192,7 @@ class InnerProductSpace:
 
 class RangeBasis:
     """Ordered orthonormal set in an InnerProductSpace, grown vector by
-    vector.  Mutation is single-writer; reads may be shared.
-    """
+    vector."""
 
     def __init__(self, space):
         self.space = space

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import dense_svd, generalized_symmetric_eig
+from .linalg import _as_2d_array
 
 # eigenvalues below this times the top one are numerical noise
 NOISE_FLOOR_RTOL = 1e-14
@@ -64,7 +64,9 @@ def transfer_eigenproblem(op):
     matrix, source, range_space = _matrix_of(op)
     a = matrix.T @ range_space.apply_gram(matrix)
     a = 0.5 * (a + a.T)
-    lam, vecs = generalized_symmetric_eig(a, source.gram)
+    lam, vecs = scipy.linalg.eigh(a, _as_2d_array(source.gram))
+    order = np.argsort(lam)[::-1]
+    lam, vecs = lam[order], vecs[:, order]
     top = max(lam[0], 0.0)
     if (lam < -NEGATIVE_NOISE_TOL * max(top, 1.0)).any():
         raise np.linalg.LinAlgError(
@@ -92,7 +94,7 @@ def weighted_svd(op):
     # sigma( F_R^T T L_S^{-T} )
     y = f_r.T @ matrix
     z = scipy.linalg.solve_triangular(l_s, y.T, lower=True).T
-    u, s, vt = dense_svd(z)
+    _, s, vt = np.linalg.svd(z, full_matrices=False)
     coeffs = scipy.linalg.solve_triangular(l_s, vt.T, lower=True,
                                            trans="T")
     range_vectors = matrix @ coeffs
@@ -102,11 +104,6 @@ def weighted_svd(op):
     return SpectralData(eigenvalues=s ** 2, sigmas=s.copy(),
                         coefficients=coeffs, range_vectors=range_vectors,
                         left_vectors=left)
-
-
-def operator_norm(op):
-    """Largest weighted singular value."""
-    return weighted_svd(op).sigma(1)
 
 
 def analytic_interface_sigma(i, length, width):

@@ -19,8 +19,12 @@ def build_interface_transfer(h_inv, length=1.0, width=1.0, kappa=0.0):
     conditions.  Traces are measured in the L2 products of their lines.
     """
     h = 1.0 / h_inv
-    mesh = build_rect_mesh((-length, length, 0.0, width), h, "q1",
-                           {"left": "gamma_out", "right": "gamma_out"})
+
+    def tag(x, y):
+        far = abs(x + length) <= 1e-9 or abs(x - length) <= 1e-9
+        return "gamma_out" if far else "sigma_N"
+
+    mesh = build_rect_mesh((-length, length, 0.0, width), h, "q1", tag)
     if kappa == 0.0:
         pde = PdeSpec("laplace")
     else:
@@ -77,4 +81,4 @@ def gfem_field(name):
 def build_gfem_mesh(n_cells):
     """Crisscross mesh on the unit square, clamped on the whole boundary."""
     return build_rect_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / n_cells, "p1x",
-                           {"all": "sigma_D"})
+                           lambda x, y: "sigma_D")

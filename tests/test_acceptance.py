@@ -13,7 +13,7 @@ import pytest
 from locmor.experiments import nearest_rank
 from locmor.gfem import gfem_run, partition_of_unity
 from locmor.linalg import InnerProductSpace
-from locmor.oracle import analytic_interface_sigma, operator_norm, weighted_svd
+from locmor.oracle import analytic_interface_sigma, weighted_svd
 from locmor.problems import build_gfem_mesh, build_interface_transfer
 from locmor.rangefinder import (RngStream, a_priori_bound,
                                 adaptive_randomized_range, c_eff, c_est,
@@ -315,7 +315,8 @@ def test_criterion_12_property_suites(capsys, interface40):
         u, sv, _ = np.linalg.svd(t_mat)
         k = int(rng.integers(1, min(m, k_s)))
         deflated = t_mat - u[:, :k] @ (u[:, :k].T @ t_mat)
-        lhs = operator_norm(DenseOperator(deflated, source, range_space))
+        lhs = weighted_svd(
+            DenseOperator(deflated, source, range_space)).sigma(1)
         lemma_ok &= lhs <= math.sqrt(r_hi / s_lo) * sv[k] * (1.0 + 1e-10)
         weighted = weighted_svd(
             DenseOperator(t_mat, source, range_space)).sigmas

@@ -22,7 +22,6 @@ SMALL_FIXED = {
     "experiment": "example1-fixed",
     "seed": 0,
     "out": "results",
-    "threads": 1,
     "params": {"h_inv": 10, "n_values": [0, 1, 2], "runs": 3},
 }
 
@@ -31,7 +30,6 @@ SMALL_ADAPTIVE = {
     "experiment": "example1-adaptive",
     "seed": 0,
     "out": "results",
-    "threads": 1,
     "params": {"h_inv": 10, "tols": [1e-2], "n_t": 3, "runs": 4},
 }
 
@@ -154,11 +152,9 @@ def test_config_rejects_schema_mismatch():
 
 
 def test_config_rejects_bad_counts():
-    with pytest.raises(ValueError, match="threads"):
-        ExperimentConfig("example1-fixed", threads=0)
     with pytest.raises(ValueError, match="runs"):
         ExperimentConfig("example1-fixed", runs=0)
-    for key in ("seed", "runs", "threads"):
+    for key in ("seed", "runs"):
         for bad in (True, "3", 1.5, float("nan"), [2]):
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig("example1-fixed", **{key: bad})
@@ -170,9 +166,10 @@ def test_config_rejects_bad_counts():
         ExperimentConfig("example4-gfem", params={"n_cells": 0})
     # integral floats pass; the seed is kept as given since runs write it
     cfg = ExperimentConfig("example1-adaptive", seed=5.0, runs=2.0,
-                           threads=2.0, params={"n_t": 3.0, "h_inv": 10.0})
+                           params={"n_t": 3.0, "h_inv": 10.0})
+    gfem = ExperimentConfig("example4-gfem", params={"n_cells": 20.0})
     assert cfg.seed == 5.0 and isinstance(cfg.seed, float)
-    for value, want in ((cfg.runs, 2), (cfg.threads, 2),
+    for value, want in ((cfg.runs, 2), (gfem.params["n_cells"], 20),
                         (cfg.params["runs"], 2), (cfg.params["n_t"], 3),
                         (cfg.params["h_inv"], 10)):
         assert value == want and type(value) is int
@@ -274,7 +271,7 @@ def test_console_script_and_error_exit_codes(tmp_path):
     not_object.write_text("[1]", encoding="utf-8")
     invalid = [
         {**SMALL_FIXED, "seed": "3"},
-        {**SMALL_FIXED, "threads": "2"},
+        {**SMALL_FIXED, "threads": 1},
         {**SMALL_FIXED, "runs": True},
         {**SMALL_FIXED, "seed": 1.5},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "runs": 0}},
@@ -303,7 +300,6 @@ def test_console_script_and_error_exit_codes(tmp_path):
                  ["--config", str(malformed)],
                  ["--config", str(not_object)],
                  ["--config", good, "--runs", "0"],
-                 ["--config", good, "--threads", "0"],
                  ["--config", good, "--seed", "-1"]):
         done = subprocess.run(command + ["run", *args, "--out", str(out)],
                               capture_output=True, text=True)
@@ -313,6 +309,16 @@ def test_console_script_and_error_exit_codes(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("locmor: error: "), \
             (args, done.stderr)
         assert not out.exists()
+
+    # an unknown flag gets argparse's usage line and one error line
+    done = subprocess.run(command + ["run", "--config", good, "--threads",
+                                     "2", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("locmor: error: ")]
+    assert len(errors) == 1 and "--threads" in errors[0], done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.skipif(shutil.which("locmor") is None,

@@ -31,12 +31,20 @@ def test_mesh_rejects_bad_geometry():
 
 
 def test_boundary_tag_precedence():
-    mesh = build_rect_mesh(
-        (0, 1, 0, 1), 0.5,
-        boundary_spec={"left": "gamma_out", "bottom": "sigma_D"})
+    calls = []
+
+    def tag(x, y):
+        # the tag function decides corners: left wins over bottom here
+        calls.append((x, y))
+        if x == 0.0:
+            return "gamma_out"
+        return "sigma_D" if y == 0.0 else "sigma_N"
+
+    mesh = build_rect_mesh((0, 1, 0, 1), 0.5, tag_fn=tag)
+    # called once per boundary node, never on the interior one
+    assert len(calls) == 8 and (0.5, 0.5) not in calls
     # q1 nodes are the corner lattice, row j holds y = j * h
     tags = mesh.node_tags.reshape(mesh.ny + 1, mesh.nx + 1)
-    # corner (0,0) sits on both edges; gamma_out wins over sigma_D
     assert tags[0, 0] == GAMMA_OUT
     assert tags[0, 1] == SIGMA_D
     assert tags[2, 2] == SIGMA_N
@@ -45,6 +53,9 @@ def test_boundary_tag_precedence():
     constrained = constrained.reshape(tags.shape)
     assert constrained[2, 0] and constrained[0, 2]
     assert not constrained[1, 2]
+    # without a tag function every boundary node is natural
+    plain = build_rect_mesh((0, 1, 0, 1), 0.5).node_tags
+    assert (plain == SIGMA_N).sum() == 8 and plain[4] == 0
 
 
 def test_nodes_on_line_sorted():
@@ -97,9 +108,8 @@ def test_linear_fields_are_exact():
     # P1 and Q1 both reproduce u(x,y) = x, so A u equals the load of the
     # zero source away from the Neumann boundary terms
     for kind in ("q1", "p1x"):
-        mesh = build_rect_mesh(
-            (0, 1, 0, 1), 0.125, kind=kind,
-            boundary_spec={"all": "sigma_D"})
+        mesh = build_rect_mesh((0, 1, 0, 1), 0.125, kind=kind,
+                               tag_fn=lambda x, y: "sigma_D")
         u = mesh.coords[:, 0].copy()
         a = assemble_system(mesh, PdeSpec(), constrain=False)
         res = a @ u
@@ -113,7 +123,7 @@ def test_manufactured_solution_convergence():
     hs = [1 / 8, 1 / 16, 1 / 32]
     for h in hs:
         mesh = build_rect_mesh((0, 1, 0, 1), h, kind="p1x",
-                               boundary_spec={"all": "sigma_D"})
+                               tag_fn=lambda x, y: "sigma_D")
         a = assemble_system(mesh, PdeSpec())
         f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         b = constrain_rhs(mesh, load_vector(mesh, f))

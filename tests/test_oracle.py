@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from locmor.linalg import InnerProductSpace, RangeBasis
-from locmor.oracle import (analytic_interface_sigma, operator_norm,
-                           transfer_eigenproblem, weighted_svd)
+from locmor.oracle import (analytic_interface_sigma, transfer_eigenproblem,
+                           weighted_svd)
 from locmor.problems import build_interface_transfer
 from locmor.rangefinder import projection_error
 from locmor.transfer import DenseOperator
@@ -36,6 +36,7 @@ def test_eigenproblem_postconditions():
     op = DenseOperator(t, InnerProductSpace(m_s), InnerProductSpace(m_r))
     data = transfer_eigenproblem(op)
     lam1 = data.eigenvalues[0]
+    assert np.all(np.diff(data.eigenvalues) <= 0)
     for j in range(7):
         resid = (t.T @ m_r @ t @ data.coefficients[:, j]
                  - data.eigenvalues[j] * m_s @ data.coefficients[:, j])
@@ -78,6 +79,10 @@ def test_svd_orthonormality_properties():
     cg = data.coefficients.T @ m_s @ data.coefficients
     assert cg.shape == (6, 6)
     assert np.abs(cg - np.eye(6)).max() < 1e-8
+    # sigmas are non-increasing and reconstruct the full-rank operator
+    assert np.all(np.diff(data.sigmas) <= 0)
+    rebuilt = data.left_vectors * data.sigmas @ data.coefficients.T @ m_s
+    assert np.abs(rebuilt - t).max() < 1e-10 * np.abs(t).max()
 
 
 def test_rank_deficiency_clamps_noise():
@@ -141,7 +146,7 @@ def test_optimal_space_error_is_next_sigma():
 def test_operator_norm_and_rows():
     source = range_space = InnerProductSpace.euclidean(4)
     op = DenseOperator(np.diag([4.0, 2.0, 1.0, 0.5]), source, range_space)
-    assert operator_norm(op) == pytest.approx(4.0)
     data = weighted_svd(op)
+    assert data.sigma(1) == pytest.approx(4.0)
     assert data.eigenvalues[:2] == pytest.approx([16.0, 4.0])
     assert data.sigmas[:2] == pytest.approx([4.0, 2.0])
