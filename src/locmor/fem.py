@@ -19,7 +19,7 @@ _TAG_NAMES = {
     "sigma_D": SIGMA_D,
 }
 
-_GEOM_TOL = 1e-9
+GEOM_TOL = 1e-9
 
 
 def box_indicator(background, boxes):
@@ -133,6 +133,10 @@ class RectMesh:
     def elements(self):
         return self.tris if self.kind == "p1x" else self.quads
 
+    @property
+    def element_area(self):
+        return self.h ** 2 / 4.0 if self.kind == "p1x" else self.h ** 2
+
     def element_centroids(self):
         """Read-only element centroids, computed once per coordinate
         array."""
@@ -144,7 +148,7 @@ class RectMesh:
     def nodes_on_line(self, axis, value):
         """Corner nodes on the mesh line {axis == value}, sorted along it."""
         col = 0 if axis == "x" else 1
-        mask = np.abs(self.coords[: self.n_corner, col] - value) <= _GEOM_TOL
+        mask = np.abs(self.coords[: self.n_corner, col] - value) <= GEOM_TOL
         ids = np.nonzero(mask)[0]
         if ids.size == 0:
             raise ValueError(f"no mesh line at {axis} = {value}")
@@ -155,15 +159,23 @@ class RectMesh:
         """Element ids whose centroid lies in the box."""
         x0, x1, y0, y1 = box
         cent = self.element_centroids()
-        mask = ((cent[:, 0] >= x0 - _GEOM_TOL) & (cent[:, 0] <= x1 + _GEOM_TOL)
-                & (cent[:, 1] >= y0 - _GEOM_TOL)
-                & (cent[:, 1] <= y1 + _GEOM_TOL))
+        mask = ((cent[:, 0] >= x0 - GEOM_TOL) & (cent[:, 0] <= x1 + GEOM_TOL)
+                & (cent[:, 1] >= y0 - GEOM_TOL)
+                & (cent[:, 1] <= y1 + GEOM_TOL))
         return np.nonzero(mask)[0]
 
     @property
     def constrained_nodes(self):
         return np.nonzero((self.node_tags == GAMMA_OUT)
                           | (self.node_tags == SIGMA_D))[0]
+
+
+def on_box_edge(x, y, box):
+    """Whether the points (x, y) lie on an edge line of the axis-aligned
+    box (x0, x1, y0, y1), within GEOM_TOL (vectorized)."""
+    x0, x1, y0, y1 = box
+    return ((np.abs(x - x0) <= GEOM_TOL) | (np.abs(x - x1) <= GEOM_TOL)
+            | (np.abs(y - y0) <= GEOM_TOL) | (np.abs(y - y1) <= GEOM_TOL))
 
 
 def build_rect_mesh(bounds, h, kind="q1", tag_fn=None):
@@ -188,10 +200,7 @@ def build_rect_mesh(bounds, h, kind="q1", tag_fn=None):
     mesh = RectMesh(bounds, h, kind, node_tags=None)
     cx = mesh.coords[:, 0]
     cy = mesh.coords[:, 1]
-    on_boundary = ((np.abs(cx - x0) <= _GEOM_TOL)
-                   | (np.abs(cx - x1) <= _GEOM_TOL)
-                   | (np.abs(cy - y0) <= _GEOM_TOL)
-                   | (np.abs(cy - y1) <= _GEOM_TOL))
+    on_boundary = on_box_edge(cx, cy, mesh.bounds)
     tags = np.full(mesh.n_nodes, INTERIOR, dtype=np.int8)
     tags[on_boundary] = SIGMA_N
     if tag_fn is not None:
@@ -220,37 +229,23 @@ _Q1_MASS = np.array([
     [2.0, 1.0, 2.0, 4.0],
 ]) / 36.0
 
+# crisscross triangle (corner, corner, centre): the four triangles of a
+# square are rotations of one right isosceles triangle and share this h
+# independent Laplace matrix
+_P1X_STIFF = np.array([
+    [0.5, 0.0, -0.5],
+    [0.0, 0.5, -0.5],
+    [-0.5, -0.5, 1.0],
+])
+
 _P1_MASS = np.array([
     [2.0, 1.0, 1.0],
     [1.0, 2.0, 1.0],
     [1.0, 1.0, 2.0],
 ]) / 12.0
 
-
-def _p1_stiffness(coords3):
-    x = coords3[:, 0]
-    y = coords3[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * abs(b[0] * c[1] - b[1] * c[0])
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area), area
-
-
-def _tri_reference_matrices(h):
-    """Stiffness/area for the four crisscross triangle orientations."""
-    half = 0.5 * h
-    tris = [
-        np.array([[0, 0], [h, 0], [half, half]], dtype=float),
-        np.array([[h, 0], [h, h], [half, half]], dtype=float),
-        np.array([[h, h], [0, h], [half, half]], dtype=float),
-        np.array([[0, h], [0, 0], [half, half]], dtype=float),
-    ]
-    stiffs = []
-    area = None
-    for t in tris:
-        k, area = _p1_stiffness(t)
-        stiffs.append(k)
-    return stiffs, area
+# per mesh kind: Laplace stiffness and mass of an element of unit area
+_REFERENCE = {"q1": (_Q1_STIFF, _Q1_MASS), "p1x": (_P1X_STIFF, _P1_MASS)}
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +268,19 @@ def _element_entries(mesh, pde, element_ids=None, what="system",
         conn = conn[element_ids]
     nel = conn.shape[0]
     npe = conn.shape[1]
-    if what == "system" and pde.kind == "diffusion":
+    stiff, mass = _REFERENCE[mesh.kind]
+    area = mesh.element_area
+    if what == "mass":
+        data = np.tile((mass * area).ravel(), nel)
+    elif pde.kind == "diffusion":
         if coefficient is None:
             coefficient = centroid_values(mesh, pde.coefficient)
         if element_ids is not None:
             coefficient = coefficient[element_ids]
-
-    if mesh.kind == "q1":
-        if what == "mass":
-            base = _Q1_MASS * mesh.h ** 2
-            data = np.tile(base.ravel(), nel)
-        else:
-            base = _Q1_STIFF
-            if pde.kind == "diffusion":
-                data = (coefficient[:, None] * base.ravel()[None, :]).ravel()
-            elif pde.kind == "helmholtz":
-                base = base - pde.kappa ** 2 * _Q1_MASS * mesh.h ** 2
-                data = np.tile(base.ravel(), nel)
-            else:
-                data = np.tile(base.ravel(), nel)
+        data = (coefficient[:, None] * stiff.ravel()[None, :]).ravel()
     else:
-        n_sq = mesh.nx * mesh.ny
-        if what == "mass":
-            base = _P1_MASS * (mesh.h ** 2 / 4.0)
-            data = np.tile(base.ravel(), nel)
-        else:
-            stiffs, _ = _tri_reference_matrices(mesh.h)
-            ids = (np.arange(mesh.tris.shape[0]) if element_ids is None
-                   else np.asarray(element_ids))
-            orientation = ids // n_sq
-            flat = np.stack([s.ravel() for s in stiffs])[orientation]
-            if pde.kind == "diffusion":
-                flat = flat * coefficient[:, None]
-            elif pde.kind == "helmholtz":
-                mass_flat = (_P1_MASS * (mesh.h ** 2 / 4.0)).ravel()
-                flat = flat - pde.kappa ** 2 * mass_flat[None, :]
-            data = flat.ravel()
+        # exact for laplace, where kappa is 0
+        data = np.tile((stiff - pde.kappa ** 2 * mass * area).ravel(), nel)
 
     rows = np.repeat(conn, npe, axis=1).ravel()
     cols = np.tile(conn, (1, npe)).ravel()
@@ -394,10 +366,7 @@ def load_vector(mesh, f):
     """
     values = centroid_values(mesh, f) if callable(f) else f
     conn = mesh.elements
-    if mesh.kind == "q1":
-        share = values * mesh.h ** 2 / 4.0
-    else:
-        share = values * (mesh.h ** 2 / 4.0) / 3.0
+    share = values * mesh.element_area / conn.shape[1]
     b = np.zeros(mesh.n_nodes)
     np.add.at(b, conn.ravel(), np.repeat(share, conn.shape[1]))
     return b
@@ -445,12 +414,12 @@ def assemble_interface_l2(mesh, node_ids):
     node_ids = np.asarray(node_ids)
     coords = mesh.coords[node_ids]
     spans = coords.max(axis=0) - coords.min(axis=0)
-    if spans.min() > _GEOM_TOL:
+    if spans.min() > GEOM_TOL:
         raise ValueError("interface nodes are not on an axis-aligned line")
     along = int(np.argmax(spans))
     order = np.argsort(coords[:, along])
     coords = coords[order]
     gaps = np.diff(coords[:, along])
-    if np.abs(gaps - mesh.h).max() > _GEOM_TOL:
+    if np.abs(gaps - mesh.h).max() > GEOM_TOL:
         raise ValueError("interface nodes do not form a conforming line")
     return path_l2_gram(coords), node_ids[order]

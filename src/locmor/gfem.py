@@ -9,12 +9,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .fem import GAMMA_OUT, build_rect_mesh, centroid_values, path_l2_gram
+from .fem import (GAMMA_OUT, GEOM_TOL, build_rect_mesh, centroid_values,
+                  on_box_edge, path_l2_gram)
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
 from .transfer import DenseOperator, TransferOperator
 
-_TOL = 1e-9
 # patch cover: cores of side CORE on a grid of spacing STRIDE, each
 # oversampled by OVERLAP in every interior direction
 CORE = 0.2
@@ -128,7 +128,7 @@ def build_patches(global_mesh, pde, source_fn, truth):
     x0, x1, y0, y1 = global_mesh.bounds
     n_steps = int(round((x1 - x0 - CORE) / STRIDE)) + 1
     m_steps = int(round((y1 - y0 - CORE) / STRIDE)) + 1
-    if abs((n_steps - 1) * STRIDE + CORE - (x1 - x0)) > _TOL:
+    if abs((n_steps - 1) * STRIDE + CORE - (x1 - x0)) > GEOM_TOL:
         raise ValueError("patch grid does not tile the domain")
 
     cache = {}
@@ -166,7 +166,7 @@ def _problem_key(mesh, core_box, over_box, touches_dirichlet, coefficient,
     """Exact bytes of everything a local problem depends on within one
     cover: cell counts, core offsets in cells, boundary tags, and the
     coefficient and source term at the element centroids.  The element
-    matrices read h, orientation and coefficient, never coordinates."""
+    matrices read h and coefficient, never coordinates."""
     ox0, _, oy0, _ = over_box
     offsets = np.rint((np.array(core_box) - [ox0, ox0, oy0, oy0]) / mesh.h)
     return (mesh.nx, mesh.ny, offsets.astype(np.int64).tobytes(),
@@ -179,9 +179,7 @@ def _core_trace_split(mesh, range_ids, core_box):
     boundary, and of the nodes inside the core; clamped nodes, which
     lie on the boundary, are in neither."""
     x, y = mesh.coords[range_ids].T
-    cx0, cx1, cy0, cy1 = core_box
-    on_boundary = ((np.abs(x - cx0) <= _TOL) | (np.abs(x - cx1) <= _TOL)
-                   | (np.abs(y - cy0) <= _TOL) | (np.abs(y - cy1) <= _TOL))
+    on_boundary = on_box_edge(x, y, core_box)
     clamped = np.isin(range_ids, mesh.constrained_nodes)
     return (np.nonzero(on_boundary & ~clamped)[0],
             np.nonzero(~on_boundary)[0])
@@ -264,12 +262,9 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
                 max(gy0, cy0 - OVERLAP), min(gy1, cy1 + OVERLAP))
     pid = grid_pos[1] * grid_shape[0] + grid_pos[0]
 
-    def on_global_boundary(x, y):
-        return (abs(x - gx0) <= _TOL or abs(x - gx1) <= _TOL
-                or abs(y - gy0) <= _TOL or abs(y - gy1) <= _TOL)
-
     def tag(x, y):
-        return "sigma_D" if on_global_boundary(x, y) else "gamma_out"
+        return ("sigma_D" if on_box_edge(x, y, global_mesh.bounds)
+                else "gamma_out")
 
     mesh = build_rect_mesh(over_box, global_mesh.h, global_mesh.kind,
                            tag_fn=tag)
@@ -292,8 +287,9 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
     sub = loop_gram[np.ix_(np.nonzero(free)[0], np.nonzero(free)[0])]
     source_ids = loop[free]
     source = InnerProductSpace(sub)
-    touches_dirichlet = (abs(cx0 - gx0) <= _TOL or abs(cx1 - gx1) <= _TOL
-                         or abs(cy0 - gy0) <= _TOL or abs(cy1 - gy1) <= _TOL)
+    touches_dirichlet = (
+        abs(cx0 - gx0) <= GEOM_TOL or abs(cx1 - gx1) <= GEOM_TOL
+        or abs(cy0 - gy0) <= GEOM_TOL or abs(cy1 - gy1) <= GEOM_TOL)
 
     coefficient = centroid_values(mesh, pde.coefficient)
     load = centroid_values(mesh, source_fn)

@@ -47,24 +47,16 @@ class SpectralData:
         return float(self.sigmas[i - 1])
 
 
-def _matrix_of(op):
-    matrix = getattr(op, "matrix", None)
-    if matrix is None:
-        op = op.assemble_dense()
-        matrix = op.matrix
-    return matrix, op.source, op.range_space
-
-
 def transfer_eigenproblem(op):
     """Spectrum via the generalized eigenproblem T'M_R T z = lam M_S z.
 
     Tail eigenvalues below NOISE_FLOOR_RTOL times the top one are
     reported as zero; negative values beyond noise raise.
     """
-    matrix, source, range_space = _matrix_of(op)
-    a = matrix.T @ range_space.apply_gram(matrix)
+    matrix = op.matrix
+    a = matrix.T @ op.range_space.apply_gram(matrix)
     a = 0.5 * (a + a.T)
-    lam, vecs = scipy.linalg.eigh(a, _as_2d_array(source.gram))
+    lam, vecs = scipy.linalg.eigh(a, _as_2d_array(op.source.gram))
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
     top = max(lam[0], 0.0)
@@ -88,9 +80,9 @@ def weighted_svd(op):
     The source Gram must be definite (Cholesky); the range Gram may be
     semidefinite, in which case its eigenvalue square root is used.
     """
-    matrix, source, range_space = _matrix_of(op)
-    l_s = source.cholesky()
-    f_r = range_space.factor()
+    matrix = op.matrix
+    l_s = op.source.cholesky()
+    f_r = op.range_space.factor()
     # sigma( F_R^T T L_S^{-T} )
     y = f_r.T @ matrix
     z = scipy.linalg.solve_triangular(l_s, y.T, lower=True).T

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .linalg import RangeBasis, gram_norms
-from .oracle import weighted_svd, _matrix_of
+from .oracle import weighted_svd
 from .special import erf_inv, gamma_q_inv
 from .transfer import DenseOperator
 
@@ -177,12 +177,12 @@ def fixed_rank_range(op, n, rng):
 
 
 def projection_error(op, basis):
-    """Exact residual norm ||T - P T|| through the dense oracle."""
-    matrix, source, range_space = _matrix_of(op)
+    """Exact residual norm ||T - P T|| of a dense operator."""
+    matrix = op.matrix
     b = basis.matrix
     if b.shape[1]:
-        matrix = matrix - b @ (b.T @ (range_space.apply_gram(matrix)))
-    residual = DenseOperator(matrix, source, range_space)
+        matrix = matrix - b @ (b.T @ (op.range_space.apply_gram(matrix)))
+    residual = DenseOperator(matrix, op.source, op.range_space)
     return weighted_svd(residual).sigma(1)
 
 

@@ -103,6 +103,27 @@ def test_element_matrices_match_quadrature_oracle():
     perm = [0, 1, 3, 2]
     assert np.abs(a - ref[np.ix_(perm, perm)]).max() < 1e-13
 
+    # one crisscross square against the general P1 formula from each
+    # triangle's vertices, (b b^T + c c^T) / (4 area), and with one
+    # diffusion coefficient per triangle scaling that triangle's block
+    coefficient = np.array([1.0, 2.0, 5.0, 0.25])
+    for h in (0.7, 1.0 / 3.0):
+        mesh = build_rect_mesh((0, h, 0, h), h, kind="p1x")
+        ref = np.zeros((2, mesh.n_nodes, mesh.n_nodes))
+        for tri, k in zip(mesh.tris, coefficient):
+            x, y = mesh.coords[tri].T
+            b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+            c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+            area = 0.5 * abs(b[0] * c[1] - b[1] * c[0])
+            local = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+            ref[0][np.ix_(tri, tri)] += local
+            ref[1][np.ix_(tri, tri)] += k * local
+        for pde, expected in ((PdeSpec(), ref[0]),
+                              (PdeSpec(kind="diffusion"), ref[1])):
+            a = assemble_system(mesh, pde, constrain=False,
+                                coefficient=coefficient).toarray()
+            assert np.abs(a - expected).max() < 1e-13
+
 
 def test_linear_fields_are_exact():
     # P1 and Q1 both reproduce u(x,y) = x, so A u equals the load of the

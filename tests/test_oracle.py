@@ -122,7 +122,7 @@ def test_discrete_sigmas_converge_to_analytic():
     errors = {}
     for h_inv in (10, 20, 40):
         op = build_interface_transfer(h_inv=h_inv)
-        data = weighted_svd(op)
+        data = weighted_svd(op.assemble_dense())
         errors[h_inv] = [
             abs(data.sigma(i) - analytic_interface_sigma(i, 1.0, 1.0))
             / analytic_interface_sigma(i, 1.0, 1.0)

@@ -1,5 +1,3 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 
@@ -168,7 +166,7 @@ def test_assemble_dense_guard(small_op, monkeypatch):
 
 def test_leading_weighted_singular_value():
     op = build_interface_transfer(h_inv=20)
-    sigma1 = weighted_svd(op).sigma(1)
+    sigma1 = weighted_svd(op.assemble_dense()).sigma(1)
     assert abs(sigma1 - 2.0 ** -0.5) < 0.02 * 2.0 ** -0.5
 
 
@@ -177,24 +175,13 @@ def test_random_sup_underestimates_norm():
     # from below; a chance alignment needs few source dimensions
     op = build_interface_transfer(h_inv=4)
     rng = np.random.default_rng(83)
-    sigma1 = weighted_svd(op).sigma(1)
+    sigma1 = weighted_svd(op.assemble_dense()).sigma(1)
     sup = 0.0
     for _ in range(200):
         z = rng.standard_normal(op.n_source)
         sup = max(sup, op.range_space.norm(op.apply(z))
                   / op.source.norm(z))
     assert 0.8 * sigma1 <= sup <= sigma1 * (1.0 + 1e-12)
-
-
-def test_concurrent_apply_matches_serial(small_op):
-    rng = np.random.default_rng(89)
-    blocks = rng.standard_normal((small_op.n_source, 16))
-    serial = [small_op.apply(blocks[:, k]) for k in range(16)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(
-            lambda k: small_op.apply(blocks[:, k]), range(16)))
-    for s, p in zip(serial, parallel):
-        assert np.array_equal(s, p)
 
 
 def test_apply_block_matches_apply(small_op):
