@@ -6,8 +6,10 @@ identical files: runs are ordered by index, run i draws from stream seed
 s0 + i, and floats are formatted through one canonical function.
 """
 
+import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,16 +153,23 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_DEFAULTS:
+        if not (isinstance(self.experiment, str)
+                and self.experiment in EXPERIMENT_DEFAULTS):
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {', '.join(EXPERIMENT_IDS)}")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object, got {self.params!r}")
+        defaults = EXPERIMENT_DEFAULTS[self.experiment]
         if self.runs is not None:
+            if "runs" not in defaults:
+                raise ValueError(f"{self.experiment} takes no runs")
             self.runs = _check_integer("runs", self.runs, 1)
         # the seed is written to the outputs, so an integral float stays
         # as given
         _check_integer("seed", self.seed, 0)
-        defaults = EXPERIMENT_DEFAULTS[self.experiment]
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ValueError(
@@ -168,7 +177,7 @@ class ExperimentConfig:
                 f"{', '.join(sorted(unknown))}")
         merged = dict(defaults)
         merged.update(self.params)
-        if self.runs is not None and "runs" in merged:
+        if self.runs is not None:
             merged["runs"] = self.runs
         for key, value in merged.items():
             if key in INTEGER_PARAMS:
@@ -204,6 +213,8 @@ class ExperimentConfig:
         unknown = set(cfg) - known
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        if "experiment" not in cfg:
+            raise ValueError("config has no experiment key")
         return cls(**cfg)
 
     @classmethod
@@ -272,8 +283,7 @@ def format_value(x):
 
 
 def write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write canonical CSV to path, a Path in an existing directory."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
@@ -282,8 +292,6 @@ def write_csv(path, header, rows):
 
 
 def write_jsonl(path, records):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -294,34 +302,25 @@ def write_jsonl(path, records):
 # experiments
 
 
-def _gram_extremes(op):
-    s_lo, s_hi = op.source.extremal_eigenvalues()
-    r_lo, r_hi = op.range_space.extremal_eigenvalues()
-    return s_lo, s_hi, r_lo, r_hi
-
-
 def run_example1_fixed(cfg, outdir):
     p = cfg.params
     op = build_interface_transfer(p["h_inv"], p["length"], p["width"])
     dense = op.assemble_dense()
     data = weighted_svd(dense)
-    s_lo, s_hi, r_lo, r_hi = _gram_extremes(op)
+    s_lo, s_hi = op.source.extremal_eigenvalues()
+    r_lo, r_hi = op.range_space.extremal_eigenvalues()
 
     rows = []
-    run_index = 0
+    seeds = itertools.count(cfg.seed)
     for n in p["n_values"]:
         errors = []
         for _ in range(p["runs"]):
-            rng = RngStream(cfg.seed + run_index)
-            run_index += 1
-            basis = fixed_rank_range(dense, n, rng)
+            basis = fixed_rank_range(dense, n, RngStream(next(seeds)))
             errors.append(projection_error(dense, basis))
-        stats = summary_stats(errors)
         bound = (a_priori_bound(data.sigmas, n, s_lo, s_hi, r_lo, r_hi)
                  if n >= 4 else "")
-        rows.append((n, stats["min"], stats["p25"], stats["p50"],
-                     stats["p75"], stats["max"], stats["mean"],
-                     data.sigma(n + 1), bound))
+        rows.append((n, *summary_stats(errors).values(), data.sigma(n + 1),
+                     bound))
     return [write_csv(outdir / "example1-fixed.csv",
                       ["n", "min", "p25", "p50", "p75", "max", "mean",
                        "sigma_next", "a_priori_bound"], rows)]
@@ -334,15 +333,13 @@ def run_example1_adaptive(cfg, outdir):
 
     rows = []
     records = []
-    run_index = 0
+    seeds = itertools.count(cfg.seed)
     for tol in p["tols"]:
         errors = []
         for _ in range(p["runs"]):
-            seed = cfg.seed + run_index
-            run_index += 1
-            rng = RngStream(seed)
+            seed = next(seeds)
             basis = adaptive_randomized_range(
-                dense, tol, p["n_t"], p["eps_algofail"], rng)
+                dense, tol, p["n_t"], p["eps_algofail"], RngStream(seed))
             err = projection_error(dense, basis)
             errors.append(err)
             records.append({
@@ -354,9 +351,8 @@ def run_example1_adaptive(cfg, outdir):
                 "estimator_trace": [d["estimate"] for d in basis.diagnostics],
                 "final_error": err,
             })
-        stats = summary_stats(errors)
-        rows.append((tol, stats["min"], stats["p25"], stats["p50"],
-                     stats["p75"], stats["max"]))
+        # the order statistics, without the mean
+        rows.append((tol, *list(summary_stats(errors).values())[:-1]))
     return [
         write_csv(outdir / "example1-adaptive.csv",
                   ["tol", "min", "p25", "p50", "p75", "max"], rows),
@@ -367,7 +363,7 @@ def run_example1_adaptive(cfg, outdir):
 def run_example1_hdep(cfg, outdir):
     p = cfg.params
     rows = []
-    run_index = 0
+    seeds = itertools.count(cfg.seed)
     for h_inv in p["h_invs"]:
         op = build_interface_transfer(h_inv, p["length"], p["width"])
         dense = op.assemble_dense()
@@ -375,8 +371,7 @@ def run_example1_hdep(cfg, outdir):
             errors = []
             ratios = []
             for _ in range(p["runs"]):
-                rng = RngStream(cfg.seed + run_index)
-                run_index += 1
+                rng = RngStream(next(seeds))
                 basis = fixed_rank_range(dense, n, rng)
                 err = projection_error(dense, basis)
                 residual = ResidualOperator(dense, basis)
@@ -401,21 +396,19 @@ def run_example1_effectivity(cfg, outdir):
     n_o = min(op.source.dim, op.range_space.dim) - n
 
     rows = []
-    run_index = 0
+    seeds = itertools.count(cfg.seed)
     for n_t in p["n_t_values"]:
         etas = []
         for _ in range(p["runs"]):
-            rng = RngStream(cfg.seed + run_index)
-            run_index += 1
+            rng = RngStream(next(seeds))
             basis = fixed_rank_range(dense, n, rng)
             err = projection_error(dense, basis)
             residual = ResidualOperator(dense, basis)
             delta = norm_estimate(residual, n_t, p["eps_testfail"], rng)
             etas.append(delta / err)
-        stats = summary_stats(etas)
         bound = c_eff(n_t, p["eps_testfail"], n_o, s_lo, s_hi)
-        rows.append((n_t, stats["min"], stats["p25"], stats["p50"],
-                     stats["p75"], stats["max"], bound))
+        # the order statistics, without the mean
+        rows.append((n_t, *list(summary_stats(etas).values())[:-1], bound))
     return [write_csv(outdir / "example1-effectivity.csv",
                       ["n_t", "min", "p25", "p50", "p75", "max", "c_eff"],
                       rows)]
@@ -475,16 +468,15 @@ def run_example4_gfem(cfg, outdir):
     p = cfg.params
     global_rows = []
     patch_rows = []
-    run_index = 0
+    # patch stream keys shift the seed, which needs an int
+    seeds = itertools.count(int(cfg.seed))
     for field_name in p["fields"]:
         pde, source = gfem_field(field_name)
         mesh = build_gfem_mesh(p["n_cells"])
         problem = build_gfem_problem(mesh, pde, source)
         for tol in p["tols"]:
             for _ in range(p["runs"]):
-                # patch stream keys shift the seed, which needs an int
-                seed = int(cfg.seed) + run_index
-                run_index += 1
+                seed = next(seeds)
                 result, spaces = gfem_run(problem, tol, p["n_t"],
                                           p["eps_algofail"], seed)
                 total_evals = sum(s.evaluations for s in spaces)

@@ -32,7 +32,7 @@ REDUCED_RTOL = 1e-13
 class GfemPatch:
     """One overlapping patch, complete once built: core and oversampled
     boxes, local mesh and index maps, trace source space, energy range
-    space, core L2 Gram, partition-of-unity weights, the dense transfer
+    space, core L2 space, partition-of-unity weights, the dense transfer
     operator, and the patch's share of the reference solution.
 
     Every transfer image is discrete-harmonic inside the core, so the
@@ -52,7 +52,7 @@ class GfemPatch:
     range_ids: np.ndarray
     source: InnerProductSpace
     range_space: InnerProductSpace
-    core_mass: object
+    core_l2: InnerProductSpace
     touches_dirichlet: bool
     pou_weights: np.ndarray
     operator: DenseOperator
@@ -95,21 +95,7 @@ def _boundary_loop(mesh):
     right = mesh.nodes_on_line("x", x1)
     top = mesh.nodes_on_line("y", y1)[::-1]
     left = mesh.nodes_on_line("x", x0)[::-1]
-    loop = np.concatenate([bottom, right[1:], top[1:], left[1:-1]])
-    return loop
-
-
-def _lattice_ids(global_mesh, coords, is_center):
-    """Global node ids from coordinates, by lattice arithmetic."""
-    h = global_mesh.h
-    x0, _, y0, _ = global_mesh.bounds
-    if is_center:
-        i = np.rint((coords[:, 0] - x0) / h - 0.5).astype(np.int64)
-        j = np.rint((coords[:, 1] - y0) / h - 0.5).astype(np.int64)
-        return global_mesh.n_corner + j * global_mesh.nx + i
-    i = np.rint((coords[:, 0] - x0) / h).astype(np.int64)
-    j = np.rint((coords[:, 1] - y0) / h).astype(np.int64)
-    return j * (global_mesh.nx + 1) + i
+    return np.concatenate([bottom, right[1:], top[1:], left[1:-1]])
 
 
 def build_patches(global_mesh, pde, source_fn, truth):
@@ -117,10 +103,11 @@ def build_patches(global_mesh, pde, source_fn, truth):
 
     Cores of side CORE placed on a grid of spacing STRIDE; oversampling
     extends each core by OVERLAP in every interior direction.  Each patch
-    is built whole, one after the other, against the global source term
-    and reference solution truth.  Patches that pose the same local
-    problem share it: it is solved once per distinct key and the cache
-    is dropped on return.
+    is built whole, one after the other, against the PDE coefficient and
+    source term at the global element centroids, evaluated once per
+    cover, and the reference solution truth.  Patches that pose the same
+    local problem share it: it is solved once per distinct key and the
+    cache is dropped on return.
     """
     if pde.kind == "helmholtz":
         # the core trace view needs images harmonic in the energy product
@@ -131,6 +118,8 @@ def build_patches(global_mesh, pde, source_fn, truth):
     if abs((n_steps - 1) * STRIDE + CORE - (x1 - x0)) > GEOM_TOL:
         raise ValueError("patch grid does not tile the domain")
 
+    coefficient = centroid_values(global_mesh, pde.coefficient)
+    load = centroid_values(global_mesh, source_fn)
     cache = {}
     patches = []
     for jy in range(m_steps):
@@ -138,8 +127,8 @@ def build_patches(global_mesh, pde, source_fn, truth):
             cx0 = x0 + ix * STRIDE
             cy0 = y0 + jy * STRIDE
             core_box = (cx0, cx0 + CORE, cy0, cy0 + CORE)
-            patches.append(_build_patch(global_mesh, pde, source_fn, truth,
-                                        core_box, (ix, jy),
+            patches.append(_build_patch(global_mesh, pde, coefficient, load,
+                                        truth, core_box, (ix, jy),
                                         (n_steps, m_steps), cache))
     return patches
 
@@ -147,13 +136,13 @@ def build_patches(global_mesh, pde, source_fn, truth):
 @dataclass(frozen=True, eq=False)
 class _LocalProblem:
     """The part of a patch that does not depend on where it sits: range
-    index map and Grams, the dense trace transfer matrix with its trace
-    space and harmonic extension, and the source response.  The arrays
-    are read-only, as patches share them."""
+    index map, spaces and Grams, the dense trace transfer matrix with its
+    trace space and harmonic extension, and the source response.  The
+    arrays are read-only, as patches share them."""
 
     range_ids: np.ndarray
     range_space: InnerProductSpace
-    core_mass: object
+    core_l2: InnerProductSpace
     over_gram: object
     matrix: np.ndarray
     trace_space: InnerProductSpace
@@ -161,17 +150,16 @@ class _LocalProblem:
     u_f: np.ndarray
 
 
-def _problem_key(mesh, core_box, over_box, touches_dirichlet, coefficient,
-                 load):
+def _problem_key(mesh, core_box, over_box, coefficient, load):
     """Exact bytes of everything a local problem depends on within one
-    cover: cell counts, core offsets in cells, boundary tags, and the
+    cover: cell counts, core offsets in cells (which tell whether the
+    core touches the clamped boundary), boundary tags, and the
     coefficient and source term at the element centroids.  The element
     matrices read h and coefficient, never coordinates."""
     ox0, _, oy0, _ = over_box
     offsets = np.rint((np.array(core_box) - [ox0, ox0, oy0, oy0]) / mesh.h)
     return (mesh.nx, mesh.ny, offsets.astype(np.int64).tobytes(),
-            touches_dirichlet, mesh.node_tags.tobytes(),
-            coefficient.tobytes(), load.tobytes())
+            mesh.node_tags.tobytes(), coefficient.tobytes(), load.tobytes())
 
 
 def _core_trace_split(mesh, range_ids, core_box):
@@ -225,6 +213,7 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
         mesh, pde, core_box, coefficient)
     range_space = InnerProductSpace(energy_gram, definite=False)
     core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
+    core_l2 = InnerProductSpace(core_mass)
     gamma, inner = _core_trace_split(mesh, range_ids, core_box)
     matrix, u_f = _trace_transfer(mesh, pde, coefficient, load, source_ids,
                                   source, range_ids, range_ids[gamma])
@@ -242,19 +231,21 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
     over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box,
                                                coefficient)
     return _LocalProblem(range_ids=range_ids, range_space=range_space,
-                         core_mass=core_mass, over_gram=over_gram,
+                         core_l2=core_l2, over_gram=over_gram,
                          matrix=matrix,
                          trace_space=InnerProductSpace(schur, definite=False),
                          extension=extension, u_f=u_f)
 
 
-def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
-                 grid_shape, cache):
+def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
+                 grid_pos, grid_shape, cache):
     """Build one complete patch around core_box.
 
-    The local problem is looked up in cache, a dict shared by the
-    patches of one cover, and solved and stored there on a miss; the
-    mesh, trace space, weights and truth norms are the patch's own.
+    The patch is cut from the global mesh and slices coefficient and
+    load, the global centroid values.  The local problem is looked up in
+    cache, a dict shared by the patches of one cover, and solved and
+    stored there on a miss; the mesh, trace space, weights and truth
+    norms are the patch's own.
     """
     gx0, gx1, gy0, gy1 = global_mesh.bounds
     cx0, cx1, cy0, cy1 = core_box
@@ -268,12 +259,14 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
 
     mesh = build_rect_mesh(over_box, global_mesh.h, global_mesh.kind,
                            tag_fn=tag)
-    local_to_global = np.concatenate([
-        _lattice_ids(global_mesh, mesh.coords[: mesh.n_corner], False),
-        _lattice_ids(global_mesh, mesh.coords[mesh.n_corner:], True),
-    ])
-    # reuse the global lattice floats so piecewise coefficients classify
-    # elements bitwise identically in the local and the global assembly
+    # both meshes number nodes (corners, then centres) and elements in
+    # lattice order, so sorted global ids follow the local numbering
+    elements = global_mesh.elements_in_box(over_box)
+    in_patch = np.zeros(global_mesh.n_nodes, dtype=bool)
+    in_patch[global_mesh.elements[elements]] = True
+    local_to_global = np.flatnonzero(in_patch)
+    # one position per node for all patches: the weights, trace Grams
+    # and core-edge tests read the global lattice floats
     mesh.coords = global_mesh.coords[local_to_global]
 
     # trace space on the non-global part of the local boundary; the
@@ -281,20 +274,18 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
     # ramp segments into the clamped ones
     loop = _boundary_loop(mesh)
     loop_gram = path_l2_gram(mesh.coords[loop], closed=True)
-    free = mesh.node_tags[loop] == GAMMA_OUT
-    if not free.any():
+    free = np.flatnonzero(mesh.node_tags[loop] == GAMMA_OUT)
+    if free.size == 0:
         raise ValueError(f"patch {pid} has no free boundary")
-    sub = loop_gram[np.ix_(np.nonzero(free)[0], np.nonzero(free)[0])]
     source_ids = loop[free]
-    source = InnerProductSpace(sub)
-    touches_dirichlet = (
-        abs(cx0 - gx0) <= GEOM_TOL or abs(cx1 - gx1) <= GEOM_TOL
-        or abs(cy0 - gy0) <= GEOM_TOL or abs(cy1 - gy1) <= GEOM_TOL)
+    source = InnerProductSpace(loop_gram[np.ix_(free, free)])
+    # the oversampling box is clipped only at the global boundary
+    touches_dirichlet = min(abs(c - o) for c, o in
+                            zip(core_box, over_box)) <= GEOM_TOL
 
-    coefficient = centroid_values(mesh, pde.coefficient)
-    load = centroid_values(mesh, source_fn)
-    key = _problem_key(mesh, core_box, over_box, touches_dirichlet,
-                       coefficient, load)
+    coefficient = coefficient[elements]
+    load = load[elements]
+    key = _problem_key(mesh, core_box, over_box, coefficient, load)
     local = cache.get(key)
     if local is None:
         local = cache[key] = _solve_local_problem(
@@ -307,7 +298,7 @@ def _build_patch(global_mesh, pde, source_fn, truth, core_box, grid_pos,
         pid=pid, grid_pos=grid_pos, core_box=core_box, over_box=over_box,
         mesh=mesh, local_to_global=local_to_global, source_ids=source_ids,
         range_ids=range_ids, source=source, range_space=local.range_space,
-        core_mass=local.core_mass, touches_dirichlet=touches_dirichlet,
+        core_l2=local.core_l2, touches_dirichlet=touches_dirichlet,
         pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
                                  grid_pos, grid_shape),
         operator=DenseOperator(local.matrix, source, local.trace_space),
@@ -381,21 +372,20 @@ class LocalReducedSpace:
         return self.random_basis.evaluations
 
 
-def local_space(patch, tol, n_t, eps_algofail, rng, u_f):
+def local_space(patch, tol, n_t, eps_algofail, rng):
     """Run the adaptive rangefinder on one patch and augment the basis.
 
     tol is the absolute operator-norm tolerance for the patch transfer
     map.  The random basis lives on the core trace Γ; its harmonic
-    extensions, the source response and the constant make the combined
-    basis, orthonormalized in L2 over the core (the energy seminorm
-    cannot normalize the constant), dropping dependent vectors.
+    extensions, the source response patch.u_f and the constant make the
+    combined basis, orthonormalized in patch.core_l2 (the energy
+    seminorm cannot normalize the constant), dropping dependent vectors.
     """
     basis = adaptive_randomized_range(patch.operator, tol, n_t,
                                       eps_algofail, rng)
-    l2_space = InnerProductSpace(patch.core_mass)
-    combined = RangeBasis(l2_space)
+    combined = RangeBasis(patch.core_l2)
     combined.extend_block(patch.extension @ basis.matrix)
-    combined.extend(u_f)
+    combined.extend(patch.u_f)
     if not patch.touches_dirichlet:
         combined.extend(np.ones(patch.n_range))
     return LocalReducedSpace(patch=patch, random_basis=basis,
@@ -483,7 +473,7 @@ def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
         rng = RngStream((seed << 32) + patch.pid)
         scale = max(patch.trace_norm, 1e-300)
         spaces.append(local_space(patch, float(target) / scale, n_t,
-                                  eps_algofail, rng, u_f=patch.u_f))
+                                  eps_algofail, rng))
     result = assemble_gfem_and_solve(problem, spaces)
     return result, spaces
 

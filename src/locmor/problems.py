@@ -42,10 +42,8 @@ def build_interface_transfer(h_inv, length=1.0, width=1.0, kappa=0.0):
     gram_m, ids_m = assemble_interface_l2(mesh, mesh.nodes_on_line("x", 0.0))
     range_space = InnerProductSpace(gram_m)
 
-    op = TransferOperator(factorization, source_ids, ids_m, source,
-                          range_space)
-    op.mesh = mesh
-    return op
+    return TransferOperator(factorization, source_ids, ids_m, source,
+                            range_space)
 
 
 # high-contrast conductor loops and source strips of the heat-sink setup

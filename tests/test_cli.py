@@ -291,17 +291,33 @@ def test_console_script_and_error_exit_codes(tmp_path):
          "params": {"fields": ["nope"]}},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "width": 0.35}},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "length": -1}},
+        {**SMALL_FIXED, "params": 5},
+        {**SMALL_FIXED, "experiment": ["x"]},
+        {key: value for key, value in SMALL_FIXED.items()
+         if key != "experiment"},
+        # experiments without Monte Carlo runs refuse a runs count
+        {**SMALL_FIXED, "experiment": "example1-cputable", "params": {},
+         "runs": 7},
     ]
+    helmholtz = _write_config(
+        tmp_path, {**SMALL_FIXED, "experiment": "example2-helmholtz",
+                   "params": {}}, "helmholtz.json")
     out = tmp_path / "out"
-    for args in (["--config", _write_config(tmp_path, bad, "bad.json")],
-                 *(["--config", _write_config(tmp_path, cfg, f"inv{i}.json")]
-                   for i, cfg in enumerate(invalid)),
-                 ["--config", str(tmp_path / "missing.json")],
-                 ["--config", str(malformed)],
-                 ["--config", str(not_object)],
-                 ["--config", good, "--runs", "0"],
-                 ["--config", good, "--seed", "-1"]):
-        done = subprocess.run(command + ["run", *args, "--out", str(out)],
+    cases = [[*args, "--out", str(out)] for args in (
+        ["--config", _write_config(tmp_path, bad, "bad.json")],
+        *(["--config", _write_config(tmp_path, cfg, f"inv{i}.json")]
+          for i, cfg in enumerate(invalid)),
+        ["--config", str(tmp_path / "missing.json")],
+        ["--config", str(malformed)],
+        ["--config", str(not_object)],
+        ["--config", good, "--runs", "0"],
+        ["--config", good, "--seed", "-1"],
+        ["--config", helmholtz, "--runs", "7"])]
+    # a malformed out key, with no --out to override it
+    cases.append(["--config", _write_config(
+        tmp_path, {**SMALL_FIXED, "out": 3}, "out.json")])
+    for args in cases:
+        done = subprocess.run(command + ["run", *args],
                               capture_output=True, text=True)
         assert done.returncode == 2, (args, done.stderr)
         assert "Traceback" not in done.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 import weakref
 
@@ -6,7 +7,8 @@ import pytest
 
 import locmor.gfem
 import locmor.linalg
-from locmor.fem import PdeSpec, assemble_system, build_rect_mesh
+from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
+                        centroid_values)
 from locmor.gfem import (LocalReducedSpace, _build_patch, _core_trace_split,
                          _pou_weights, assemble_gfem_and_solve,
                          build_gfem_problem, build_patches,
@@ -17,6 +19,13 @@ from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, gfem_field
 from locmor.rangefinder import RngStream
 from locmor.transfer import DenseOperator, TransferOperator
+
+
+def _centroid_fields(mesh, pde, source):
+    """The coefficient and source term at the global element centroids,
+    as build_patches hands them to _build_patch."""
+    return (centroid_values(mesh, pde.coefficient),
+            centroid_values(mesh, source))
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +55,9 @@ def test_interior_trace_count_fine_mesh():
     assert mesh.n_nodes == 80_401
     assert mesh.constrained_nodes.size == 800
     pde, source = gfem_field("uniform")
-    patch = _build_patch(mesh, pde, source, np.zeros(mesh.n_nodes),
-                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9), {})
+    patch = _build_patch(mesh, pde, *_centroid_fields(mesh, pde, source),
+                         np.zeros(mesh.n_nodes), (0.4, 0.6, 0.4, 0.6),
+                         (4, 4), (9, 9), {})
     assert np.allclose(patch.over_box, (0.3, 0.7, 0.3, 0.7))
     assert patch.source.dim == patch.source_ids.size == 320
 
@@ -108,8 +118,8 @@ def test_single_patch_cover():
     # a patch swallowing the domain has no free boundary left for its
     # transfer operator, so the patch builder refuses it
     with pytest.raises(ValueError, match="free boundary"):
-        _build_patch(mesh, pde, source, np.zeros(mesh.n_nodes), whole,
-                     (0, 0), (1, 1), {})
+        _build_patch(mesh, pde, *_centroid_fields(mesh, pde, source),
+                     np.zeros(mesh.n_nodes), whole, (0, 0), (1, 1), {})
     # the weight construction itself degenerates to rho == 1
     weights = _pou_weights(mesh.coords, whole, (0, 0), (1, 1))
     assert np.array_equal(weights, np.ones(mesh.n_nodes))
@@ -196,8 +206,9 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
     patches = build_patches(mesh, pde, source, truth)
     assert len(patches) == 81
     assert len(calls) == distinct
+    fields = _centroid_fields(mesh, pde, source)
     for patch in patches:
-        alone = _build_patch(mesh, pde, source, truth, patch.core_box,
+        alone = _build_patch(mesh, pde, *fields, truth, patch.core_box,
                              patch.grid_pos, (9, 9), cache={})
         assert _same_bits(patch.operator.matrix, alone.operator.matrix)
         assert _same_bits(patch.operator.range_space.gram,
@@ -205,7 +216,7 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         assert _same_bits(patch.extension, alone.extension)
         assert _same_bits(patch.u_f, alone.u_f)
         assert _same_bits(patch.range_space.gram, alone.range_space.gram)
-        assert _same_bits(patch.core_mass, alone.core_mass)
+        assert _same_bits(patch.core_l2.gram, alone.core_l2.gram)
         assert patch.truth_energy == alone.truth_energy
         assert patch.trace_norm == alone.trace_norm
         assert np.array_equal(patch.pou_weights, alone.pou_weights)
@@ -254,7 +265,7 @@ def test_trace_operator_lifts_to_nodal_operator(field):
             patch.range_space).apply_block(np.eye(patch.source.dim))
         if not patch.touches_dirichlet:
             ones = np.ones(patch.n_range)
-            mass = patch.core_mass
+            mass = patch.core_l2.gram
             nodal -= np.outer(ones, (ones @ (mass @ nodal))
                               / (ones @ (mass @ ones)))
         assert np.abs(ext @ trace - nodal).max() \
@@ -287,30 +298,39 @@ def test_tolerance_cascade_scalings():
         tolerance_cascade(0.0, energies, c_pou=4)
 
 
-def test_local_mesh_reuses_global_coords(toy_problem):
-    # piecewise coefficients classify elements at centroids; the local
-    # lattice must be bitwise identical to the global one
-    for patch in toy_problem.patches[:5]:
-        assert np.array_equal(patch.mesh.coords,
-                              toy_problem.mesh.coords[patch.local_to_global])
+def test_local_mesh_reuses_global_coords():
+    # each patch mesh is cut from the global one: its lattice is bitwise
+    # the global one, and its elements are the global elements in the
+    # oversampling box in the same order, so slicing the global centroid
+    # fields gives the patch's own
+    mesh = build_gfem_mesh(20)
+    for field in ("uniform", "channels"):
+        pde, source = gfem_field(field)
+        patches = build_patches(mesh, pde, source, np.zeros(mesh.n_nodes))
+        assert len(patches) == 81
+        for patch in patches:
+            assert np.array_equal(patch.mesh.coords,
+                                  mesh.coords[patch.local_to_global])
+            assert np.array_equal(
+                patch.local_to_global[patch.mesh.elements],
+                mesh.elements[mesh.elements_in_box(patch.over_box)])
 
 
 def test_local_space_augmentation(toy_problem):
     interior = next(p for p in toy_problem.patches if p.grid_pos == (4, 4))
     # random basis, source response and constant
-    space = local_space(interior, 1e-3, 8, 1e-10, RngStream(3),
-                        u_f=interior.u_f)
+    space = local_space(interior, 1e-3, 8, 1e-10, RngStream(3))
     assert space.combined.shape[1] == space.n_random + 2
 
     # zero source: the data function is dropped as dependent (zero)
-    silent = local_space(interior, 1e-3, 8, 1e-10, RngStream(3),
-                         u_f=np.zeros(interior.n_range))
+    silent = local_space(
+        dataclasses.replace(interior, u_f=np.zeros(interior.n_range)),
+        1e-3, 8, 1e-10, RngStream(3))
     assert silent.combined.shape[1] == silent.n_random + 1
 
     # a patch on the clamped boundary gets no constant
     corner = toy_problem.patches[0]
-    edge_space = local_space(corner, 1e-3, 8, 1e-10, RngStream(4),
-                             u_f=corner.u_f)
+    edge_space = local_space(corner, 1e-3, 8, 1e-10, RngStream(4))
     assert edge_space.combined.shape[1] == edge_space.n_random + 1
 
 

@@ -8,7 +8,8 @@ import locmor.linalg
 from locmor.gfem import _build_patch
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            factorize, gram_extremal_eigenvalues)
-from locmor.fem import PdeSpec, assemble_system, build_rect_mesh
+from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
+                        centroid_values)
 from locmor.problems import build_gfem_mesh, build_interface_transfer, \
     gfem_field
 from conftest import random_spd
@@ -28,19 +29,21 @@ def test_factorize_solves_and_rejects_singular():
         factorize(singular.tocsc())
 
 
+def _channel(x, y):
+    return "gamma_out" if abs(abs(x) - 1.0) <= 1e-9 else "sigma_N"
+
+
 def test_factorization_fill_below_colamd():
     op = build_interface_transfer(20)
     lu = op.factorization._lu
-    matrix = sp.csc_matrix(assemble_system(op.mesh, PdeSpec("laplace")))
+    # the mesh build_interface_transfer factors at 1/h = 20
+    mesh = build_rect_mesh((-1.0, 1.0, 0.0, 1.0), 1.0 / 20, "q1", _channel)
+    matrix = sp.csc_matrix(assemble_system(mesh, PdeSpec("laplace")))
     colamd = spla.splu(matrix, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     b = np.random.default_rng(43).standard_normal(matrix.shape[0])
     x = op.factorization.solve(b)
     assert np.abs(matrix @ x - b).max() < 1e-10 * np.abs(b).max()
-
-
-def _channel(x, y):
-    return "gamma_out" if abs(abs(x) - 1.0) <= 1e-9 else "sigma_N"
 
 
 @pytest.mark.parametrize("bounds, kind, tag_fn, kappa", [
@@ -74,9 +77,10 @@ def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
     source = build_interface_transfer(20, 1.0, 2.0).source
     pde, load = gfem_field("channels")
     mesh = build_gfem_mesh(50)
-    patch = _build_patch(mesh, pde, load, np.zeros(mesh.n_nodes),
+    patch = _build_patch(mesh, pde, centroid_values(mesh, pde.coefficient),
+                         centroid_values(mesh, load), np.zeros(mesh.n_nodes),
                          (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9), {})
-    for gram in (source.gram, patch.core_mass):
+    for gram in (source.gram, patch.core_l2.gram):
         lo_dense, hi_dense = gram_extremal_eigenvalues(gram)
         with monkeypatch.context() as m:
             m.setattr(locmor.linalg, "DENSE_EIG_LIMIT", 0)

@@ -60,7 +60,7 @@ def test_kernel_stage_removes_constants(toy_gfem):
     # an interior GFEM patch operator maps into the range modulo constants
     patch = _interior(toy_gfem[2])
     op = patch.operator
-    mass = patch.core_mass
+    mass = patch.core_l2.gram
     assert not patch.touches_dirichlet
     ext = patch.extension
     ones = np.ones(op.source.dim)
@@ -77,7 +77,7 @@ def test_kernel_projection_identities(toy_gfem):
     _, pde, problem = toy_gfem
     patch = _interior(problem)
     op = patch.operator
-    mass = patch.core_mass
+    mass = patch.core_l2.gram
     # the operator is the plain transfer map followed by the core-mass
     # projection off the constant
     plain_op = TransferOperator(
