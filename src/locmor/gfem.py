@@ -9,8 +9,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .fem import (GAMMA_OUT, GEOM_TOL, build_rect_mesh, centroid_values,
-                  on_box_edge, path_l2_gram)
+from .fem import (GAMMA_OUT, GEOM_TOL, SIGMA_D, SIGMA_N, build_rect_mesh,
+                  centroid_values, on_box_edge, path_l2_gram)
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
 from .transfer import DenseOperator, TransferOperator
@@ -29,17 +29,46 @@ REDUCED_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
+class _Core:
+    """What a patch core alone fixes, built once per distinct core of a
+    cover and shared by every patch on it: the nodal core energy space
+    (Gram M), the core-L2 space (Gram C), the harmonic extension E from
+    Γ with the trace space of its Schur complement S = E^T M E, and a
+    frame: a core-L2-orthonormal basis Q of span E.  Frame coordinates,
+    in the Euclidean coord_space, refer to the columns of Q and then to
+    one more direction, a patch's source-response residual:
+    frame_coords holds R = Q^T C E and frame_ones Q^T C 1, each with a
+    zero last row.  The arrays are read-only."""
+
+    range_space: InnerProductSpace
+    core_l2: InnerProductSpace
+    extension: np.ndarray
+    trace_space: InnerProductSpace
+    frame: np.ndarray
+    frame_coords: np.ndarray
+    frame_ones: np.ndarray
+    coord_space: InnerProductSpace
+
+
+@dataclass(frozen=True, eq=False)
 class GfemPatch:
     """One overlapping patch, complete once built: core and oversampled
-    boxes, local mesh and index maps, trace source space, energy range
-    space, core L2 space, partition-of-unity weights, the dense transfer
-    operator, and the patch's share of the reference solution.
+    boxes, local mesh and index maps, trace source space, the shared
+    core data, partition-of-unity weights, the dense transfer operator,
+    the source response, and the patch's share of the reference
+    solution.
 
     Every transfer image is discrete-harmonic inside the core, so the
     operator maps onto its trace on Γ, the free nodes of the core-box
     boundary, normed by the Schur complement of the core energy Gram;
-    extension lifts a trace to the range_ids nodes (harmonic inside,
-    zero at clamped nodes) without changing its energy norm.
+    core.extension lifts a trace to the range_ids nodes (harmonic inside,
+    zero at clamped nodes) without changing its energy norm.  core
+    holds what the core alone fixes, shared by every patch on an equal
+    core (see _Core); u_f_coords and u_f_residual are what the source
+    response u_f adds to the core frame Q: u_f = Q u_f_coords[:-1] +
+    u_f_coords[-1] u_f_residual up to roundoff, with u_f_residual the
+    core-L2 unit residual of u_f against Q, or zero where u_f lies in
+    span E.
     """
 
     pid: int
@@ -51,13 +80,13 @@ class GfemPatch:
     source_ids: np.ndarray
     range_ids: np.ndarray
     source: InnerProductSpace
-    range_space: InnerProductSpace
-    core_l2: InnerProductSpace
+    core: _Core
     touches_dirichlet: bool
     pou_weights: np.ndarray
     operator: DenseOperator
-    extension: np.ndarray
     u_f: np.ndarray
+    u_f_coords: np.ndarray
+    u_f_residual: np.ndarray
     truth_energy: float
     trace_norm: float
 
@@ -106,8 +135,9 @@ def build_patches(global_mesh, pde, source_fn, truth):
     is built whole, one after the other, against the PDE coefficient and
     source term at the global element centroids, evaluated once per
     cover, and the reference solution truth.  Patches that pose the same
-    local problem share it: it is solved once per distinct key and the
-    cache is dropped on return.
+    local problem share it, and local problems on equal cores share
+    their core: each is built once per distinct key and the cache is
+    dropped on return.
     """
     if pde.kind == "helmholtz":
         # the core trace view needs images harmonic in the energy product
@@ -136,18 +166,18 @@ def build_patches(global_mesh, pde, source_fn, truth):
 @dataclass(frozen=True, eq=False)
 class _LocalProblem:
     """The part of a patch that does not depend on where it sits: range
-    index map, spaces and Grams, the dense trace transfer matrix with its
-    trace space and harmonic extension, and the source response.  The
-    arrays are read-only, as patches share them."""
+    index map, shared core, oversampled energy Gram, the dense trace
+    transfer matrix, and the source response with its frame coordinates
+    and unit residual (see GfemPatch).  The arrays are read-only, as
+    patches share them."""
 
     range_ids: np.ndarray
-    range_space: InnerProductSpace
-    core_l2: InnerProductSpace
+    core: _Core
     over_gram: object
     matrix: np.ndarray
-    trace_space: InnerProductSpace
-    extension: np.ndarray
     u_f: np.ndarray
+    u_f_coords: np.ndarray
+    u_f_residual: np.ndarray
 
 
 def _problem_key(mesh, core_box, over_box, coefficient, load):
@@ -205,36 +235,80 @@ def _harmonic_extension(m, gamma, inner):
     return extension, 0.5 * (schur + schur.T)
 
 
-def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
-                         source_ids, source, touches_dirichlet):
-    """Assemble, factorize and solve one local problem on the trace Γ of
-    its core, with the harmonic extension back to the core nodes."""
-    energy_gram, range_ids = fem.assemble_energy_product(
-        mesh, pde, core_box, coefficient)
-    range_space = InnerProductSpace(energy_gram, definite=False)
+def _build_core(mesh, pde, coefficient, core_box, gamma, inner):
+    """Core spaces, harmonic extension and frame of one core; the frame
+    takes the two-pass Cholesky QR path of extend_block, as E is well
+    conditioned in the core L2 product."""
+    energy_gram, _ = fem.assemble_energy_product(mesh, pde, core_box,
+                                                 coefficient)
     core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
     core_l2 = InnerProductSpace(core_mass)
+    extension, schur = _harmonic_extension(energy_gram, gamma, inner)
+    basis = RangeBasis(core_l2)
+    basis.extend_block(extension)
+    frame = basis.matrix.copy()
+    mass_frame = core_mass @ frame
+    frame_coords = np.vstack([mass_frame.T @ extension,
+                              np.zeros(gamma.size)])
+    frame_ones = np.append(mass_frame.sum(axis=0), 0.0)
+    for array in (extension, schur, frame, frame_coords, frame_ones):
+        array.setflags(write=False)
+    return _Core(range_space=InnerProductSpace(energy_gram, definite=False),
+                 core_l2=core_l2, extension=extension,
+                 trace_space=InnerProductSpace(schur, definite=False),
+                 frame=frame, frame_coords=frame_coords,
+                 frame_ones=frame_ones,
+                 coord_space=InnerProductSpace(np.eye(frame.shape[1] + 1)))
+
+
+def _source_split(core, u_f):
+    """Frame coordinates of u_f and its core-L2 unit residual, from one
+    extend of the frame, whose drop test decides whether u_f adds a
+    direction; without one the residual and its coordinate are zero."""
+    basis = RangeBasis.from_orthonormal(core.core_l2, core.frame)
+    coords = np.append(core.frame.T @ (core.core_l2.gram @ u_f), 0.0)
+    residual = np.zeros(u_f.size)
+    if basis.extend(u_f):
+        residual = basis.matrix[:, -1].copy()
+        coords[-1] = residual @ (core.core_l2.gram @ u_f)
+    return coords, residual
+
+
+def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
+                         source_ids, source, touches_dirichlet, cache):
+    """Assemble, factorize and solve one local problem on the trace Γ of
+    its core.  Its core is looked up in cache by the core's cell counts,
+    Γ and interior positions and element coefficients, which fix every
+    core array bitwise, and built there on a miss."""
+    core_elements = mesh.elements_in_box(core_box)
+    range_ids = np.unique(mesh.elements[core_elements])
     gamma, inner = _core_trace_split(mesh, range_ids, core_box)
     matrix, u_f = _trace_transfer(mesh, pde, coefficient, load, source_ids,
                                   source, range_ids, range_ids[gamma])
-    extension, schur = _harmonic_extension(energy_gram, gamma, inner)
+    cx0, cx1, cy0, cy1 = core_box
+    core_key = ("core", round((cx1 - cx0) / mesh.h),
+                round((cy1 - cy0) / mesh.h), gamma.tobytes(),
+                inner.tobytes(), coefficient[core_elements].tobytes())
+    core = cache.get(core_key)
+    if core is None:
+        core = cache[core_key] = _build_core(mesh, pde, coefficient,
+                                             core_box, gamma, inner)
     if not touches_dirichlet:
         # constants are flat in the energy product, so the operator maps
         # into the range modulo constants: each image loses its core-L2
         # projection onto the constant, in Γ coordinates as E 1 = 1 here
-        mass_ones = core_mass @ np.ones(range_ids.size)
-        r = (mass_ones @ extension) / mass_ones.sum()
+        mass_ones = core.core_l2.gram @ np.ones(range_ids.size)
+        r = (mass_ones @ core.extension) / mass_ones.sum()
         matrix -= r @ matrix
-    for array in (matrix, extension, schur, u_f):
+    u_f_coords, u_f_residual = _source_split(core, u_f)
+    for array in (matrix, u_f, u_f_coords, u_f_residual):
         array.setflags(write=False)
 
     over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box,
                                                coefficient)
-    return _LocalProblem(range_ids=range_ids, range_space=range_space,
-                         core_l2=core_l2, over_gram=over_gram,
-                         matrix=matrix,
-                         trace_space=InnerProductSpace(schur, definite=False),
-                         extension=extension, u_f=u_f)
+    return _LocalProblem(range_ids=range_ids, core=core,
+                         over_gram=over_gram, matrix=matrix, u_f=u_f,
+                         u_f_coords=u_f_coords, u_f_residual=u_f_residual)
 
 
 def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
@@ -242,10 +316,10 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
     """Build one complete patch around core_box.
 
     The patch is cut from the global mesh and slices coefficient and
-    load, the global centroid values.  The local problem is looked up in
-    cache, a dict shared by the patches of one cover, and solved and
-    stored there on a miss; the mesh, trace space, weights and truth
-    norms are the patch's own.
+    load, the global centroid values.  The local problem, and within it
+    the core, is looked up in cache, a dict shared by the patches of one
+    cover, and built and stored there on a miss; the mesh, trace space,
+    weights and truth norms are the patch's own.
     """
     gx0, gx1, gy0, gy1 = global_mesh.bounds
     cx0, cx1, cy0, cy1 = core_box
@@ -253,12 +327,7 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
                 max(gy0, cy0 - OVERLAP), min(gy1, cy1 + OVERLAP))
     pid = grid_pos[1] * grid_shape[0] + grid_pos[0]
 
-    def tag(x, y):
-        return ("sigma_D" if on_box_edge(x, y, global_mesh.bounds)
-                else "gamma_out")
-
-    mesh = build_rect_mesh(over_box, global_mesh.h, global_mesh.kind,
-                           tag_fn=tag)
+    mesh = build_rect_mesh(over_box, global_mesh.h, global_mesh.kind)
     # both meshes number nodes (corners, then centres) and elements in
     # lattice order, so sorted global ids follow the local numbering
     elements = global_mesh.elements_in_box(over_box)
@@ -268,6 +337,12 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
     # one position per node for all patches: the weights, trace Grams
     # and core-edge tests read the global lattice floats
     mesh.coords = global_mesh.coords[local_to_global]
+    # the box boundary, tagged sigma_N, is clamped on the global boundary
+    # and free (gamma_out) elsewhere
+    boundary = np.flatnonzero(mesh.node_tags == SIGMA_N)
+    x, y = mesh.coords[boundary].T
+    mesh.node_tags[boundary] = np.where(
+        on_box_edge(x, y, global_mesh.bounds), SIGMA_D, GAMMA_OUT)
 
     # trace space on the non-global part of the local boundary; the
     # closed-loop Gram restricted to the free nodes accounts for the
@@ -290,19 +365,20 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
     if local is None:
         local = cache[key] = _solve_local_problem(
             mesh, pde, coefficient, load, core_box, over_box, source_ids,
-            source, touches_dirichlet)
+            source, touches_dirichlet, cache)
 
     range_ids = local.range_ids
     u_loc = truth[local_to_global]
     return GfemPatch(
         pid=pid, grid_pos=grid_pos, core_box=core_box, over_box=over_box,
         mesh=mesh, local_to_global=local_to_global, source_ids=source_ids,
-        range_ids=range_ids, source=source, range_space=local.range_space,
-        core_l2=local.core_l2, touches_dirichlet=touches_dirichlet,
+        range_ids=range_ids, source=source, core=local.core,
+        touches_dirichlet=touches_dirichlet,
         pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
                                  grid_pos, grid_shape),
-        operator=DenseOperator(local.matrix, source, local.trace_space),
-        extension=local.extension, u_f=local.u_f,
+        operator=DenseOperator(local.matrix, source, local.core.trace_space),
+        u_f=local.u_f, u_f_coords=local.u_f_coords,
+        u_f_residual=local.u_f_residual,
         truth_energy=float(np.sqrt(max(u_loc @ (local.over_gram @ u_loc),
                                        0.0))),
         trace_norm=source.norm(truth[local_to_global[source_ids]]))
@@ -376,20 +452,27 @@ def local_space(patch, tol, n_t, eps_algofail, rng):
     """Run the adaptive rangefinder on one patch and augment the basis.
 
     tol is the absolute operator-norm tolerance for the patch transfer
-    map.  The random basis lives on the core trace Γ; its harmonic
-    extensions, the source response patch.u_f and the constant make the
-    combined basis, orthonormalized in patch.core_l2 (the energy
+    map.  The random basis B lives on the core trace Γ; its harmonic
+    extensions E B, the source response patch.u_f and the constant make
+    the combined basis, orthonormalized in core L2 (the energy
     seminorm cannot normalize the constant), dropping dependent vectors.
+    That runs in the coordinates of the core frame Q plus u_f's residual
+    direction, which are core-L2 orthonormal, so Euclidean Gram-Schmidt
+    on R B, the coordinates of u_f and those of the constant, in that
+    order, is the core-L2 one; the result is lifted once.
     """
     basis = adaptive_randomized_range(patch.operator, tol, n_t,
                                       eps_algofail, rng)
-    combined = RangeBasis(patch.core_l2)
-    combined.extend_block(patch.extension @ basis.matrix)
-    combined.extend(patch.u_f)
+    core = patch.core
+    coords = RangeBasis(core.coord_space)
+    coords.extend_block(core.frame_coords @ basis.matrix)
+    coords.extend(patch.u_f_coords)
     if not patch.touches_dirichlet:
-        combined.extend(np.ones(patch.n_range))
+        coords.extend(core.frame_ones)
+    c = coords.matrix
+    combined = core.frame @ c[:-1] + np.outer(patch.u_f_residual, c[-1])
     return LocalReducedSpace(patch=patch, random_basis=basis,
-                             combined=combined.matrix)
+                             combined=combined)
 
 
 @dataclass
@@ -561,7 +644,7 @@ def _local_error(problem, space):
     patch = space.patch
     u_loc = problem.truth[patch.local_to_global[patch.range_ids]]
     u_loc = u_loc - u_loc.mean()
-    gram = patch.range_space.gram
+    gram = patch.core.range_space.gram
     v = space.combined - space.combined.mean(axis=0)
     if v.shape[1] == 0:
         resid = u_loc

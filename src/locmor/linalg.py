@@ -203,6 +203,16 @@ class RangeBasis:
         self.evaluations = 0
         self.exhausted = False
 
+    @classmethod
+    def from_orthonormal(cls, space, columns):
+        """A basis holding a copy of columns, which must already be
+        orthonormal in space, with room for one more."""
+        basis = cls(space)
+        basis._buf = np.empty((space.dim, columns.shape[1] + 1))
+        basis._buf[:, :-1] = columns
+        basis._n = columns.shape[1]
+        return basis
+
     def __len__(self):
         return self._n
 

@@ -22,28 +22,64 @@ from .transfer import DenseOperator
 MAX_CONSECUTIVE_REJECTS = 5
 
 
+# a stream's first refill computes one vector and each later one twice
+# as many, as far as they fit in RNG_CHUNK_UNIFORMS uniforms (one vector
+# at least), so a stream that draws few vectors computes few spare ones
+RNG_CHUNK_UNIFORMS = 1 << 14
+
+
 class RngStream:
     """Reproducible standard-normal stream: Box-Muller over a
     counter-based (Philox) uniform generator.  Identical seeds give
     identical vector sequences.
+
+    A call for n variates reads 2 ceil(n/2) uniforms, the first half
+    for the radii and the second for the angles.  Vectors are computed
+    in chunks of equal-length calls, one vectorized Box-Muller per
+    chunk; the values are bitwise those of one call at a time, since
+    the uniforms are read in the same order and every operation is
+    elementwise.  When the length changes, the uniforms behind the
+    vectors not yet served start the next chunk.
     """
 
     def __init__(self, seed):
         self.seed = int(seed)
         self._uniform = np.random.Generator(np.random.Philox(key=self.seed))
         self.draws = 0
+        # uniforms drawn for the current chunk, its normals one vector
+        # per row, the rows served so far, and the next chunk's rows
+        self._spare = np.empty(0)
+        self._rows = np.empty((0, 0))
+        self._served = 0
+        self._chunk = 1
 
     def standard_normal(self, n):
         """Next n standard normal variates (one call per random vector)."""
-        pairs = (n + 1) // 2
-        u1 = 1.0 - self._uniform.random(pairs)
-        u2 = self._uniform.random(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-        z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+        if n == 0:
+            return np.empty(0)
+        width = 2 * ((n + 1) // 2)
+        if (self._served == self._rows.shape[0]
+                or self._rows.shape[1] != width):
+            self._refill(width)
+        z = self._rows[self._served, :n].copy()
+        self._served += 1
         self.draws += n
-        return z[:n]
+        return z
+
+    def _refill(self, width):
+        unserved = self._spare[self._served * self._rows.shape[1]:]
+        count = max(min(self._chunk, RNG_CHUNK_UNIFORMS // width), 1,
+                    -(-unserved.size // width))
+        self._spare = np.concatenate(
+            [unserved, self._uniform.random(count * width - unserved.size)])
+        u = self._spare.reshape(count, 2, width // 2)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+        angle = 2.0 * np.pi * u[:, 1]
+        self._rows = np.empty((count, width))
+        self._rows[:, 0::2] = radius * np.cos(angle)
+        self._rows[:, 1::2] = radius * np.sin(angle)
+        self._served = 0
+        self._chunk = min(2 * self._chunk, RNG_CHUNK_UNIFORMS)
 
 
 def c_est(n_t, eps_testfail, lambda_min):

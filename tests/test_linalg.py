@@ -80,7 +80,7 @@ def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
     patch = _build_patch(mesh, pde, centroid_values(mesh, pde.coefficient),
                          centroid_values(mesh, load), np.zeros(mesh.n_nodes),
                          (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9), {})
-    for gram in (source.gram, patch.core_l2.gram):
+    for gram in (source.gram, patch.core.core_l2.gram):
         lo_dense, hi_dense = gram_extremal_eigenvalues(gram)
         with monkeypatch.context() as m:
             m.setattr(locmor.linalg, "DENSE_EIG_LIMIT", 0)
