@@ -2,7 +2,7 @@
 partition-of-unity weights, per-patch reduced spaces built by the
 adaptive rangefinder, and the coupled global Galerkin solve."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -433,11 +433,23 @@ def tolerance_cascade(tol_gfem, patch_energies, c_pou):
 class LocalReducedSpace:
     """Combined per-patch basis: randomized range space plus the local
     source-term response plus (away from the global boundary) the
-    constant kernel representative."""
+    constant kernel representative.
+
+    coords, of shape (|Γ| + 1, n), is the basis in the coordinates of the
+    patch frame Z = [patch.core.frame, patch.u_f_residual]: its first |Γ|
+    rows refer to the columns of the core frame Q, its last row to the
+    unit residual of u_f.  combined = Z coords, the basis on the
+    range_ids nodes, is lifted once on construction; the reduced solve
+    and the local error read only coords."""
 
     patch: GfemPatch
     random_basis: RangeBasis
-    combined: np.ndarray
+    coords: np.ndarray
+    combined: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.combined = (self.patch.core.frame @ self.coords[:-1]
+                         + np.outer(self.patch.u_f_residual, self.coords[-1]))
 
     @property
     def n_random(self):
@@ -459,7 +471,8 @@ def local_space(patch, tol, n_t, eps_algofail, rng):
     That runs in the coordinates of the core frame Q plus u_f's residual
     direction, which are core-L2 orthonormal, so Euclidean Gram-Schmidt
     on R B, the coordinates of u_f and those of the constant, in that
-    order, is the core-L2 one; the result is lifted once.
+    order, is the core-L2 one; the space keeps these coordinates and
+    lifts them once.
     """
     basis = adaptive_randomized_range(patch.operator, tol, n_t,
                                       eps_algofail, rng)
@@ -469,10 +482,8 @@ def local_space(patch, tol, n_t, eps_algofail, rng):
     coords.extend(patch.u_f_coords)
     if not patch.touches_dirichlet:
         coords.extend(core.frame_ones)
-    c = coords.matrix
-    combined = core.frame @ c[:-1] + np.outer(patch.u_f_residual, c[-1])
     return LocalReducedSpace(patch=patch, random_basis=basis,
-                             combined=combined)
+                             coords=coords.matrix)
 
 
 @dataclass
@@ -490,35 +501,148 @@ class GfemProblem:
     coupling: object
 
 
-class _Coupling:
-    """Precomputed sparsity skeleton of the reduced Galerkin system.
+def _patch_frame(patch):
+    """Z = [core.frame, u_f_residual]: the nodal images, on the range_ids
+    nodes, of the frame coordinates of a LocalReducedSpace."""
+    return np.column_stack([patch.core.frame, patch.u_f_residual])
 
-    Patch cores two strides apart share at most a zero-weight edge and
-    the crisscross elements never bridge it, so only grid neighbors
-    couple.  Stores, per patch, the kept (unconstrained) core nodes and,
-    per neighbor pair i <= j, the stiffness sub-block between them.
+
+class _Coupling:
+    """The reduced Galerkin system and the local errors in frame
+    coordinates, built once per problem.
+
+    Every combined basis is Z c, with Z = [core.frame, u_f_residual]
+    fixed per patch and c its coords.  With W the partition-of-unity
+    weight on a patch's kept (unconstrained) core nodes and A the
+    unconstrained stiffness, each W Z is made energy-orthonormal,
+    Psi = W Z T with T = V L^(-1/2) over the eigenpairs (L, V) of
+    (W Z)^T A (W Z) above REDUCED_RTOL of the largest, and coords map to
+    Psi coordinates L^(1/2) V^T c (energy_coords).  A unit-energy
+    combination can have frame coordinates far above one, and rounding
+    the blocks in them made the shifted band indefinite; Psi coordinates
+    stay of order one.  Stored:
+    - per patch: the kept nodes (keep_masks, kept_gids) and weights
+      (kept_weights), V and L^(1/2) (energy_vecs, energy_scales) and the
+      load Psi^T b (loads);
+    - per neighbour pair i <= j, the dense read-only block
+      P_ij = Psi_i^T A_ij Psi_j (pairs).  Cores two strides apart share
+      at most a zero-weight edge, which the crisscross elements never
+      bridge, so only grid neighbours couple.  The blocks are built
+      pair by pair, holding Psi only for the patches a pending pair
+      still needs, never for all;
+    - what _local_error reads: the column means z of Z (frame_means),
+      G = Zc^T M Zc of the centred Zc = Z - z in the core energy Gram M
+      (error_grams), the centred truth u on the range_ids nodes
+      (centred_truth) and Zc^T M u (error_rhs).
     """
 
-    def __init__(self, mesh, stiffness_raw, patches):
+    def __init__(self, mesh, stiffness_raw, load, truth, patches):
         constrained = np.zeros(mesh.n_nodes, dtype=bool)
         constrained[mesh.constrained_nodes] = True
-        self.kept_gids = []
-        self.keep_masks = []
+        self.keep_masks, self.kept_gids, self.kept_weights = [], [], []
+        self.frame_means, self.error_grams = [], []
+        self.centred_truth, self.error_rhs = [], []
+        # patches on one core share the frame Q, so its centred Gram;
+        # those on one local problem share u_f's residual, so all of G
+        core_grams, frame_grams = {}, {}
         for patch in patches:
             gids = patch.local_to_global[patch.range_ids]
             keep = ~constrained[gids]
-            self.kept_gids.append(gids[keep])
             self.keep_masks.append(keep)
+            self.kept_gids.append(gids[keep])
+            self.kept_weights.append(patch.pou_weights[keep])
+
+            core = patch.core
+            m = core.range_space.gram
+            if id(core) not in core_grams:
+                q = core.frame - core.frame.mean(axis=0)
+                core_grams[id(core)] = (q, q.T @ (m @ q))
+            q, q_gram = core_grams[id(core)]
+            key = id(patch.u_f_residual)
+            if key not in frame_grams:
+                r = patch.u_f_residual - patch.u_f_residual.mean()
+                m_r = m @ r
+                cross = q.T @ m_r
+                frame_grams[key] = (
+                    np.append(core.frame.mean(axis=0),
+                              patch.u_f_residual.mean()),
+                    np.column_stack([q, r]),
+                    np.block([[q_gram, cross[:, None]],
+                              [cross[None, :], r @ m_r]]))
+            mean, centred, gram = frame_grams[key]
+            u = truth[gids] - truth[gids].mean()
+            self.frame_means.append(mean)
+            self.error_grams.append(gram)
+            self.centred_truth.append(u)
+            self.error_rhs.append(centred.T @ (m @ u))
+
+        n = len(patches)
+        self.energy_vecs, self.energy_scales = [None] * n, [None] * n
+        self.loads = [None] * n
         a_csr = sp.csr_matrix(stiffness_raw)
+        # position[g] is the row of node g in A Psi_i, -1 off near_i
+        position = np.full(mesh.n_nodes, -1)
+        pending = {}
         self.pairs = {}
         for i, pi in enumerate(patches):
-            rows = a_csr[self.kept_gids[i]].tocsc()
-            for j in range(i, len(patches)):
+            if i not in pending:
+                pending[i] = self._energy_frame(i, pi, a_csr, load)
+            psi_i, near_i, columns_i = pending.pop(i)
+            a_psi_i = columns_i @ psi_i
+            position[near_i] = np.arange(near_i.size)
+            for j in range(i, n):
                 pj = patches[j]
                 if (abs(pi.grid_pos[0] - pj.grid_pos[0]) > 1
                         or abs(pi.grid_pos[1] - pj.grid_pos[1]) > 1):
                     continue
-                self.pairs[(i, j)] = rows[:, self.kept_gids[j]].tocsr()
+                if j == i:
+                    psi_j = psi_i
+                else:
+                    if j not in pending:
+                        pending[j] = self._energy_frame(j, pj, a_csr, load)
+                    psi_j = pending[j][0]
+                rows = position[self.kept_gids[j]]
+                shared = np.flatnonzero(rows >= 0)
+                block = a_psi_i[rows[shared]].T @ psi_j[shared]
+                if i == j:
+                    block = 0.5 * (block + block.T)
+                block.setflags(write=False)
+                self.pairs[(i, j)] = block
+            position[near_i] = -1
+
+    def _energy_frame(self, k, patch, a_csr, load):
+        """Make W Z of patch k energy-orthonormal: store T_k = V L^(-1/2)
+        and the load f_k, and return Psi_k on the kept nodes, the sorted
+        nodes near_k that the stiffness columns of the kept nodes reach,
+        and those columns of A on near_k (sparse)."""
+        gids = self.kept_gids[k]
+        weighted = self.kept_weights[k][:, None] * (
+            _patch_frame(patch)[self.keep_masks[k]])
+        # A is symmetric: its columns at gids are its rows there, with
+        # the column indices renumbered within near
+        rows = a_csr[gids]
+        near, local = np.unique(rows.indices, return_inverse=True)
+        columns = sp.csr_matrix((rows.data, local, rows.indptr),
+                                shape=(gids.size, near.size)).T
+        # A has a nonzero diagonal, so near holds every kept node
+        kept_rows = np.searchsorted(near, gids)
+        gram = weighted.T @ (columns @ weighted)[kept_rows]
+        lam, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+        kept = lam > REDUCED_RTOL * np.max(lam, initial=0.0)
+        self.energy_vecs[k] = vecs[:, kept]
+        self.energy_scales[k] = np.sqrt(lam[kept])
+        psi = weighted @ (self.energy_vecs[k] / self.energy_scales[k])
+        self.loads[k] = psi.T @ load[gids]
+        return psi, near, columns
+
+    def energy_coords(self, i, coords):
+        """Psi_i coordinates of frame coordinates of patch i."""
+        return self.energy_scales[i][:, None] * (self.energy_vecs[i].T
+                                                 @ coords)
+
+    def frame_coords(self, i, x):
+        """Frame coordinates T_i x of Psi_i coordinates x."""
+        return self.energy_vecs[i] @ (x / self.energy_scales[i])
 
 
 def build_gfem_problem(mesh, pde, source_fn):
@@ -532,7 +656,7 @@ def build_gfem_problem(mesh, pde, source_fn):
     patches = build_patches(mesh, pde, source_fn, truth)
     partition_of_unity(patches, mesh)
     c_pou = cover_overlap_bound(patches, mesh)
-    coupling = _Coupling(mesh, stiffness_raw, patches)
+    coupling = _Coupling(mesh, stiffness_raw, load, truth, patches)
     return GfemProblem(mesh=mesh, pde=pde, patches=patches,
                        stiffness_raw=stiffness_raw, load=load, truth=truth,
                        truth_energy=truth_energy, c_pou=c_pou,
@@ -569,31 +693,59 @@ class GfemResult:
     dropped_columns: int
 
 
+def _upper_band_view(band):
+    """The square matrix that band stores in the upper banded layout of
+    solveh_banded, as a strided view: view[r, c] is band[bw + r - c, c]
+    with bw + 1 = band.shape[0].  Only entries with 0 <= c - r <= bw lie
+    in band; index no others."""
+    bw = band.shape[0] - 1
+    s0, s1 = band.strides
+    return np.lib.stride_tricks.as_strided(
+        band[bw:], shape=(band.shape[1], band.shape[1]),
+        strides=(s0, s1 - s0))
+
+
+def _write_band_block(view, r0, c0, block):
+    """Copy block, whose first entry is at row r0 and column c0 of the
+    banded matrix, through the view of _upper_band_view: one strided copy
+    for a block above the diagonal, the upper triangle row by row for a
+    diagonal block (r0 == c0)."""
+    n, m = block.shape
+    if r0 != c0:
+        view[r0:r0 + n, c0:c0 + m] = block
+        return
+    for r in range(n):
+        view[r0 + r, r0 + r:r0 + m] = block[r, r:]
+
+
 def assemble_gfem_and_solve(problem, spaces):
     """Couple the patch spaces through the partition of unity and solve
-    the reduced Galerkin system.
+    the reduced Galerkin system, in frame coordinates only.
 
-    Each patch's weighted columns are orthonormalized in energy through
-    the eigendecomposition of their own diagonal block, dropping
-    directions below REDUCED_RTOL of its largest eigenvalue (Babuska &
-    Banerjee, Stable GFEM, 2012).  The reduced operator is assembled
-    block by block over the precomputed neighbor pairs straight into
-    banded storage, shifted by REDUCED_RTOL on the diagonal, since
-    neighbouring patch spaces overlap, and solved by banded Cholesky.
+    Each patch's coords are mapped to coordinates c of its
+    energy-orthonormal frame Psi (see _Coupling).  K_ii = c^T P_ii c is
+    eigendecomposed, directions below REDUCED_RTOL of its largest
+    eigenvalue are dropped, and the rest are scaled to unit energy,
+    giving c~ (Babuska & Banerjee, Stable GFEM, 2012).  The blocks
+    K_ij = c~_i^T P_ij c~_j over the precomputed neighbour pairs are
+    written straight into banded storage, shifted by REDUCED_RTOL on the
+    diagonal, since neighbouring patch spaces overlap, and solved by
+    banded Cholesky against the rhs c~_i^T f_i.  Each patch's share of
+    the nodal solution is one lift W Z x of its frame coefficients x.
     """
     mesh = problem.mesh
     coupling = problem.coupling
 
-    weighted = []
+    scaled = []
     dropped = 0
-    for i, (space, keep) in enumerate(zip(spaces, coupling.keep_masks)):
-        w = space.patch.pou_weights[keep, None] * space.combined[keep]
-        k_ii = w.T @ (coupling.pairs[(i, i)] @ w)
+    for i, space in enumerate(spaces):
+        c = coupling.energy_coords(i, space.coords)
+        k_ii = c.T @ (coupling.pairs[(i, i)] @ c)
         lam, vecs = np.linalg.eigh(0.5 * (k_ii + k_ii.T))
         kept = lam > REDUCED_RTOL * np.max(lam, initial=0.0)
         dropped += int(kept.size - kept.sum())
-        weighted.append(w @ (vecs[:, kept] / np.sqrt(lam[kept])))
-    sizes = np.array([w.shape[1] for w in weighted], dtype=np.int64)
+        scaled.append(c @ (vecs[:, kept] / np.sqrt(lam[kept])))
+    sizes = np.array([c.shape[1] for c in scaled], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ncols = int(offsets[-1])
 
@@ -602,56 +754,60 @@ def assemble_gfem_and_solve(problem, spaces):
         if sizes[i] and sizes[j]:
             bandwidth = max(bandwidth, int(offsets[j + 1] - 1 - offsets[i]))
     band = np.zeros((bandwidth + 1, ncols))
-    for (i, j), a_ij in coupling.pairs.items():
-        k_ij = weighted[i].T @ (a_ij @ weighted[j])
+    view = _upper_band_view(band)
+    for (i, j), p_ij in coupling.pairs.items():
+        k_ij = scaled[i].T @ (p_ij @ scaled[j])
         if i == j:
             k_ij = 0.5 * (k_ij + k_ij.T)
-        rr = np.broadcast_to(offsets[i] + np.arange(sizes[i])[:, None],
-                             k_ij.shape)
-        cc = np.broadcast_to(offsets[j] + np.arange(sizes[j])[None, :],
-                             k_ij.shape)
-        upper = rr <= cc
-        band[bandwidth + rr[upper] - cc[upper], cc[upper]] = k_ij[upper]
+        _write_band_block(view, offsets[i], offsets[j], k_ij)
     band[bandwidth] += REDUCED_RTOL
 
-    rhs = np.concatenate([
-        w.T @ problem.load[gids]
-        for w, gids in zip(weighted, coupling.kept_gids)])
+    rhs = np.concatenate([c.T @ f for c, f in zip(scaled, coupling.loads)])
     coeff = scipy.linalg.solveh_banded(band, rhs)
 
     u_gfem = np.zeros(mesh.n_nodes)
-    for w, gids, lo, hi in zip(weighted, coupling.kept_gids,
-                               offsets[:-1], offsets[1:]):
-        u_gfem[gids] += w @ coeff[lo:hi]
+    for i, (space, c, lo, hi) in enumerate(zip(spaces, scaled, offsets[:-1],
+                                               offsets[1:])):
+        x = coupling.frame_coords(i, c @ coeff[lo:hi])
+        keep, gids = coupling.keep_masks[i], coupling.kept_gids[i]
+        patch = space.patch
+        u = patch.core.frame @ x[:-1] + patch.u_f_residual * x[-1]
+        u_gfem[gids] += coupling.kept_weights[i] * u[keep]
 
     diff = problem.truth - u_gfem
     err = float(np.sqrt(max(diff @ (problem.stiffness_raw @ diff), 0.0)))
     global_error = err / problem.truth_energy
 
-    local = np.array([_local_error(problem, s) for s in spaces])
+    local = np.array([_local_error(coupling, i, s)
+                      for i, s in enumerate(spaces)])
     return GfemResult(solution=u_gfem, global_error=global_error,
                       local_errors=local, dropped_columns=dropped)
 
 
-def _local_error(problem, space):
-    """Best-approximation energy error of the truth on the patch core,
-    relative to the truth energy on the oversampled patch.
+def _local_error(coupling, i, space):
+    """Best-approximation energy error of the truth on the core of patch
+    i, relative to the truth energy on the oversampled patch.
 
     The energy seminorm ignores constants, so the truth and the basis
     are centred first: the truth's constant offset lies in the kernel of
     the semidefinite core Gram, and left in, it cancels in the normal
-    equations only to about sqrt(eps) of its size."""
+    equations only to about sqrt(eps) of its size.  The normal equations
+    come from the centred frame Zc, G = Zc^T M Zc and Zc^T M u, built at
+    set-up (see _Coupling); the residual u - Zc y, y = c coeff, is formed
+    explicitly on the nodes and normed in M, which keeps the value
+    accurate where the normal equations alone would not."""
     patch = space.patch
-    u_loc = problem.truth[patch.local_to_global[patch.range_ids]]
-    u_loc = u_loc - u_loc.mean()
-    gram = patch.core.range_space.gram
-    v = space.combined - space.combined.mean(axis=0)
-    if v.shape[1] == 0:
-        resid = u_loc
+    u = coupling.centred_truth[i]
+    c = space.coords
+    if c.shape[1] == 0:
+        resid = u
     else:
-        g = v.T @ (gram @ v)
-        b = v.T @ (gram @ u_loc)
+        g = c.T @ (coupling.error_grams[i] @ c)
+        b = c.T @ coupling.error_rhs[i]
         coeff, *_ = np.linalg.lstsq(g, b, rcond=None)
-        resid = u_loc - v @ coeff
+        y = c @ coeff
+        resid = u - (patch.core.frame @ y[:-1] + patch.u_f_residual * y[-1]
+                     - coupling.frame_means[i] @ y)
+    gram = patch.core.range_space.gram
     num = float(np.sqrt(max(resid @ (gram @ resid), 0.0)))
     return num / max(patch.truth_energy, 1e-300)

@@ -9,7 +9,8 @@ import locmor.linalg
 from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
                         centroid_values)
 from locmor.gfem import (LocalReducedSpace, _build_patch, _core_trace_split,
-                         _pou_weights, assemble_gfem_and_solve,
+                         _pou_weights, _upper_band_view, _write_band_block,
+                         assemble_gfem_and_solve,
                          build_gfem_problem, build_patches,
                          cover_overlap_bound, gfem_run, local_space,
                          partition_of_unity, tolerance_cascade)
@@ -415,11 +416,15 @@ def test_patch_spectra_decay(desk_uniform):
 
 
 def test_gfem_reproduces_fe_with_full_spaces(toy_problem):
+    # frame-complete spaces, coords = I: on each core the truth is the
+    # harmonic extension of its trace plus the source response, which
+    # the frame Q and u_f's residual span, so the partition of unity
+    # reproduces it
     spaces = []
     for patch in toy_problem.patches:
         spaces.append(LocalReducedSpace(
             patch=patch, random_basis=RangeBasis(patch.core.range_space),
-            combined=np.eye(patch.range_ids.size)))
+            coords=np.eye(patch.core.frame.shape[1] + 1)))
     result = assemble_gfem_and_solve(toy_problem, spaces)
     assert result.dropped_columns > 0
     assert result.global_error <= 1e-10
@@ -479,6 +484,92 @@ def test_banded_assembly_matches_dense_reference(desk_uniform):
     err_ref = np.sqrt(diff @ (problem.stiffness_raw @ diff)) \
         / problem.truth_energy
     assert abs(result.global_error - err_ref) < 1e-9
+
+
+@pytest.mark.parametrize("field", ["uniform", "channels"])
+def test_frame_blocks_match_nodal_galerkin_blocks(field):
+    # the reduced system reads only frame blocks: in each patch's energy
+    # coordinates c, c_i^T P_ij c_j must be the Galerkin block
+    # w_i^T A_ij w_j of the weighted lifted bases w = W combined on the
+    # kept nodes, relative to sqrt(|K_ii| |K_jj|), and c_i^T f_i the load
+    # w_i^T b, entrywise relative to |w_i column| |b|.  Measured worst:
+    # blocks 4.8e-15 (uniform) and 6.4e-13 (channels, where an
+    # extended-precision reference puts the nodal blocks at 9e-16: the
+    # frame products carry the coefficient contrast into their
+    # rounding), loads 7.5e-15.  The blocks after the eigen-scaling to
+    # unit energy are not compared: its 1/sqrt(lambda) magnifies the
+    # rounding of both sides alike (1.8e-11 uniform, 2.1e-9 channels)
+    pde, source = gfem_field(field)
+    problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
+    coupling = problem.coupling
+    a = problem.stiffness_raw.tocsr()
+    worst_block = worst_load = 0.0
+    for tol in (1e-2, 1e-4):
+        for seed in range(2):
+            _, spaces = gfem_run(problem, tol, 8, 1e-12, seed=seed)
+            coords, nodal = [], []
+            for i, s in enumerate(spaces):
+                coords.append(coupling.energy_coords(i, s.coords))
+                nodal.append(coupling.kept_weights[i][:, None]
+                             * s.combined[coupling.keep_masks[i]])
+                b = problem.load[coupling.kept_gids[i]]
+                ref = nodal[i].T @ b
+                worst_load = max(worst_load, (
+                    np.abs(coords[i].T @ coupling.loads[i] - ref)
+                    / (np.linalg.norm(nodal[i], axis=0) * np.linalg.norm(b)
+                       + 1e-300)).max())
+            grams = [w.T @ (a[g][:, g] @ w)
+                     for w, g in zip(nodal, coupling.kept_gids)]
+            for (i, j), p_ij in coupling.pairs.items():
+                ref = nodal[i].T @ (a[coupling.kept_gids[i]]
+                                    [:, coupling.kept_gids[j]] @ nodal[j])
+                got = coords[i].T @ (p_ij @ coords[j])
+                worst_block = max(worst_block, np.linalg.norm(got - ref, 2)
+                                  / np.sqrt(np.linalg.norm(grams[i], 2)
+                                            * np.linalg.norm(grams[j], 2)))
+    assert worst_block <= 1e-12
+    assert worst_load <= 1e-12
+
+
+def test_band_writer_matches_masked_fill():
+    # each block goes into the banded storage as one strided copy (the
+    # upper triangle row by row on the diagonal); the band must be
+    # bitwise what a masked fill gives, and nothing outside the upper
+    # band may be written: the band sits inside a sentinel-filled
+    # buffer, and the band entries that hold no matrix entry (its
+    # top-left corner and the pairs that do not couple) keep the sentinel
+    pde, source = gfem_field("channels")
+    problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
+    coupling = problem.coupling
+    _, spaces = gfem_run(problem, 1e-4, 8, 1e-12, seed=3)
+    coords = [coupling.energy_coords(i, s.coords)
+              for i, s in enumerate(spaces)]
+    sizes = np.array([c.shape[1] for c in coords])
+    assert sizes.min() > 0
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    ncols = int(offsets[-1])
+    bw = max(int(offsets[j + 1] - 1 - offsets[i]) for i, j in coupling.pairs)
+    sentinel, pad = -7.25, 3
+    buf = np.full((bw + 1 + 2 * pad, ncols + 2 * pad), sentinel)
+    band = buf[pad:pad + bw + 1, pad:pad + ncols]
+    ref = np.full((bw + 1, ncols), sentinel)
+    view = _upper_band_view(band)
+    for (i, j), p_ij in coupling.pairs.items():
+        block = coords[i].T @ (p_ij @ coords[j])
+        _write_band_block(view, offsets[i], offsets[j], block)
+        rr = np.broadcast_to(offsets[i] + np.arange(sizes[i])[:, None],
+                             block.shape)
+        cc = np.broadcast_to(offsets[j] + np.arange(sizes[j])[None, :],
+                             block.shape)
+        upper = rr <= cc
+        ref[bw + rr[upper] - cc[upper], cc[upper]] = block[upper]
+    assert np.array_equal(band, ref)
+    outside = np.ones(buf.shape, dtype=bool)
+    outside[pad:pad + bw + 1, pad:pad + ncols] = False
+    assert (buf[outside] == sentinel).all()
+    # band[k, c] holds row c - bw + k, which is negative in the corner
+    corner = np.arange(ncols)[None, :] < bw - np.arange(bw + 1)[:, None]
+    assert corner.any() and (band[corner] == sentinel).all()
 
 
 def test_gfem_run_monotone_in_tolerance(toy_problem):
