@@ -487,7 +487,7 @@ def run_example4_gfem(cfg, outdir):
                 for s in spaces:
                     patch_rows.append((
                         field_name, tol, seed, s.patch.pid, s.n_random,
-                        s.combined.shape[1], s.evaluations,
+                        s.coords.shape[1], s.evaluations,
                         float(result.local_errors[s.patch.pid])))
     return [
         write_csv(outdir / "example4-gfem-global.csv",

@@ -258,16 +258,15 @@ def centroid_values(mesh, f):
     return np.asarray(f(cent[:, 0], cent[:, 1]), dtype=float)
 
 
-def _element_entries(mesh, pde, element_ids=None, what="system",
-                     coefficient=None):
-    """COO triplets (rows, cols, data) over a subset of elements;
-    coefficient optionally holds the PDE coefficient at every element
-    centroid, as centroid_values gives it."""
+def _assemble(mesh, pde, what, element_ids=None, coefficient=None):
+    """Sum the element matrices ('system' or 'mass') of a subset of
+    elements into one n_nodes x n_nodes CSR; coefficient optionally holds
+    the PDE coefficient at every element centroid, as centroid_values
+    gives it."""
     conn = mesh.elements
     if element_ids is not None:
         conn = conn[element_ids]
-    nel = conn.shape[0]
-    npe = conn.shape[1]
+    nel, npe = conn.shape
     stiff, mass = _REFERENCE[mesh.kind]
     area = mesh.element_area
     if what == "mass":
@@ -284,38 +283,32 @@ def _element_entries(mesh, pde, element_ids=None, what="system",
 
     rows = np.repeat(conn, npe, axis=1).ravel()
     cols = np.tile(conn, (1, npe)).ravel()
-    return rows, cols, data
+    return sp.coo_matrix((data, (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
-def assemble_system(mesh, pde, constrain=True, coefficient=None):
-    """Assemble the PDE system matrix as CSR.
+def assemble_system(mesh, pde, coefficient=None):
+    """Unconstrained PDE system matrix as CSR; constrain_system adds the
+    Dirichlet rows.  coefficient: see _assemble."""
+    return _assemble(mesh, pde, "system", coefficient=coefficient)
 
-    With constrain=True, rows of gamma_out/sigma_D nodes are replaced by
-    identity rows (columns are left untouched, so interior equations keep
-    their coupling to the lifted boundary data).  coefficient: see
-    _element_entries.
-    """
-    rows, cols, data = _element_entries(mesh, pde, what="system",
-                                        coefficient=coefficient)
-    if constrain:
-        constrained = np.zeros(mesh.n_nodes, dtype=bool)
-        constrained[mesh.constrained_nodes] = True
-        keep = ~constrained[rows]
-        rows = np.concatenate([rows[keep], mesh.constrained_nodes])
-        cols = np.concatenate([cols[keep], mesh.constrained_nodes])
-        data = np.concatenate([data[keep],
-                               np.ones(mesh.constrained_nodes.size)])
-    mat = sp.coo_matrix((data, (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
+
+def constrain_system(mesh, matrix):
+    """Replace the rows of gamma_out/sigma_D nodes by identity rows
+    (columns are left untouched, so interior equations keep their
+    coupling to the lifted boundary data)."""
+    coo = matrix.tocoo()
+    nodes = mesh.constrained_nodes
+    keep = ~np.isin(coo.row, nodes)
+    rows = np.concatenate([coo.row[keep], nodes])
+    cols = np.concatenate([coo.col[keep], nodes])
+    data = np.concatenate([coo.data[keep], np.ones(nodes.size)])
+    return sp.coo_matrix((data, (rows, cols)), shape=matrix.shape).tocsr()
 
 
 def assemble_mass(mesh):
     """Consistent L2 mass matrix."""
-    rows, cols, data = _element_entries(mesh, PdeSpec(), what="mass")
-    mat = sp.coo_matrix((data, (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
+    return _assemble(mesh, PdeSpec(), "mass")
 
 
 def _subdomain_gram(mesh, pde, box, what, coefficient=None):
@@ -325,16 +318,8 @@ def _subdomain_gram(mesh, pde, box, what, coefficient=None):
     if element_ids.size == 0:
         raise ValueError("box contains no whole element")
     node_ids = np.unique(mesh.elements[element_ids])
-    rows, cols, data = _element_entries(mesh, pde, element_ids, what=what,
-                                        coefficient=coefficient)
-    lookup = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lookup[node_ids] = np.arange(node_ids.size)
-    r = lookup[rows]
-    c = lookup[cols]
-    keep = (r >= 0) & (c >= 0)
-    mat = sp.coo_matrix((data[keep], (r[keep], c[keep])),
-                        shape=(node_ids.size, node_ids.size))
-    return mat.tocsr(), node_ids
+    gram = _assemble(mesh, pde, what, element_ids, coefficient)
+    return gram[node_ids][:, node_ids], node_ids
 
 
 def assemble_energy_product(mesh, pde, box, coefficient=None):
@@ -343,7 +328,7 @@ def assemble_energy_product(mesh, pde, box, coefficient=None):
     Returns (gram, node_ids): the stiffness restricted to the subdomain
     nodes.  The Gram is only semidefinite (constants are flat); it is
     stored unregularized and callers deflate the kernel where needed.
-    coefficient: see _element_entries.
+    coefficient: see _assemble.
     """
     if pde.kind == "helmholtz":
         # energy norm of the indefinite operator is taken from its

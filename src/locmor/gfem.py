@@ -2,7 +2,7 @@
 partition-of-unity weights, per-patch reduced spaces built by the
 adaptive rangefinder, and the coupled global Galerkin solve."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -166,10 +166,10 @@ def build_patches(global_mesh, pde, source_fn, truth):
 @dataclass(frozen=True, eq=False)
 class _LocalProblem:
     """The part of a patch that does not depend on where it sits: range
-    index map, shared core, oversampled energy Gram, the dense trace
-    transfer matrix, and the source response with its frame coordinates
-    and unit residual (see GfemPatch).  The arrays are read-only, as
-    patches share them."""
+    index map, shared core, oversampled energy Gram (the unconstrained
+    patch stiffness), the dense trace transfer matrix, and the source
+    response with its frame coordinates and unit residual (see
+    GfemPatch).  The arrays are read-only, as patches share them."""
 
     range_ids: np.ndarray
     core: _Core
@@ -203,13 +203,13 @@ def _core_trace_split(mesh, range_ids, core_box):
             np.nonzero(~on_boundary)[0])
 
 
-def _trace_transfer(mesh, pde, coefficient, load, source_ids, source,
-                    range_ids, gamma_ids):
+def _trace_transfer(mesh, stiffness, load, source_ids, source, range_ids,
+                    gamma_ids):
     """Dense transfer matrix onto the nodes gamma_ids and the source
-    response at range_ids, from one local factorization that is freed
-    on return, so a cover holds one factorization at a time."""
-    factorization = factorize(fem.assemble_system(
-        mesh, pde, constrain=True, coefficient=coefficient))
+    response at range_ids, from one factorization of the constrained
+    local stiffness that is freed on return, so a cover holds one
+    factorization at a time."""
+    factorization = factorize(fem.constrain_system(mesh, stiffness))
     # local source response with zero data on the whole local boundary
     u_f = factorization.solve(
         fem.constrain_rhs(mesh, fem.load_vector(mesh, load)))[range_ids]
@@ -274,8 +274,8 @@ def _source_split(core, u_f):
     return coords, residual
 
 
-def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
-                         source_ids, source, touches_dirichlet, cache):
+def _solve_local_problem(mesh, pde, coefficient, load, core_box, source_ids,
+                         source, touches_dirichlet, cache):
     """Assemble, factorize and solve one local problem on the trace Γ of
     its core.  Its core is looked up in cache by the core's cell counts,
     Γ and interior positions and element coefficients, which fix every
@@ -283,8 +283,10 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
     core_elements = mesh.elements_in_box(core_box)
     range_ids = np.unique(mesh.elements[core_elements])
     gamma, inner = _core_trace_split(mesh, range_ids, core_box)
-    matrix, u_f = _trace_transfer(mesh, pde, coefficient, load, source_ids,
-                                  source, range_ids, range_ids[gamma])
+    # the patch mesh is the oversampling box, so this is its energy Gram
+    stiffness = fem.assemble_system(mesh, pde, coefficient=coefficient)
+    matrix, u_f = _trace_transfer(mesh, stiffness, load, source_ids, source,
+                                  range_ids, range_ids[gamma])
     cx0, cx1, cy0, cy1 = core_box
     core_key = ("core", round((cx1 - cx0) / mesh.h),
                 round((cy1 - cy0) / mesh.h), gamma.tobytes(),
@@ -303,11 +305,8 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box, over_box,
     u_f_coords, u_f_residual = _source_split(core, u_f)
     for array in (matrix, u_f, u_f_coords, u_f_residual):
         array.setflags(write=False)
-
-    over_gram, _ = fem.assemble_energy_product(mesh, pde, over_box,
-                                               coefficient)
     return _LocalProblem(range_ids=range_ids, core=core,
-                         over_gram=over_gram, matrix=matrix, u_f=u_f,
+                         over_gram=stiffness, matrix=matrix, u_f=u_f,
                          u_f_coords=u_f_coords, u_f_residual=u_f_residual)
 
 
@@ -364,8 +363,8 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
     local = cache.get(key)
     if local is None:
         local = cache[key] = _solve_local_problem(
-            mesh, pde, coefficient, load, core_box, over_box, source_ids,
-            source, touches_dirichlet, cache)
+            mesh, pde, coefficient, load, core_box, source_ids, source,
+            touches_dirichlet, cache)
 
     range_ids = local.range_ids
     u_loc = truth[local_to_global]
@@ -439,17 +438,16 @@ class LocalReducedSpace:
     patch frame Z = [patch.core.frame, patch.u_f_residual]: its first |Γ|
     rows refer to the columns of the core frame Q, its last row to the
     unit residual of u_f.  combined = Z coords, the basis on the
-    range_ids nodes, is lifted once on construction; the reduced solve
-    and the local error read only coords."""
+    range_ids nodes, is lifted on each read; the reduced solve and the
+    local error read only coords."""
 
     patch: GfemPatch
     random_basis: RangeBasis
     coords: np.ndarray
-    combined: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.combined = (self.patch.core.frame @ self.coords[:-1]
-                         + np.outer(self.patch.u_f_residual, self.coords[-1]))
+    @property
+    def combined(self):
+        return _lift(self.patch, self.coords)
 
     @property
     def n_random(self):
@@ -505,6 +503,21 @@ def _patch_frame(patch):
     """Z = [core.frame, u_f_residual]: the nodal images, on the range_ids
     nodes, of the frame coordinates of a LocalReducedSpace."""
     return np.column_stack([patch.core.frame, patch.u_f_residual])
+
+
+def _lift(patch, coords):
+    """Z coords = Q coords[:-1] + u_f_residual coords[-1] on the range_ids
+    nodes, for frame coordinates given as a vector or as columns."""
+    return (patch.core.frame @ coords[:-1]
+            + np.multiply.outer(patch.u_f_residual, coords[-1]))
+
+
+def _energy_drop(gram):
+    """Eigenpairs (lam, vecs) of the symmetric part of gram, keeping the
+    eigenvalues above REDUCED_RTOL times the largest."""
+    lam, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    kept = lam > REDUCED_RTOL * np.max(lam, initial=0.0)
+    return lam[kept], vecs[:, kept]
 
 
 class _Coupling:
@@ -626,11 +639,9 @@ class _Coupling:
                                 shape=(gids.size, near.size)).T
         # A has a nonzero diagonal, so near holds every kept node
         kept_rows = np.searchsorted(near, gids)
-        gram = weighted.T @ (columns @ weighted)[kept_rows]
-        lam, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
-        kept = lam > REDUCED_RTOL * np.max(lam, initial=0.0)
-        self.energy_vecs[k] = vecs[:, kept]
-        self.energy_scales[k] = np.sqrt(lam[kept])
+        lam, self.energy_vecs[k] = _energy_drop(
+            weighted.T @ (columns @ weighted)[kept_rows])
+        self.energy_scales[k] = np.sqrt(lam)
         psi = weighted @ (self.energy_vecs[k] / self.energy_scales[k])
         self.loads[k] = psi.T @ load[gids]
         return psi, near, columns
@@ -647,10 +658,9 @@ class _Coupling:
 
 def build_gfem_problem(mesh, pde, source_fn):
     """Assemble the global problem, the truth solve, and all patches."""
-    system = fem.assemble_system(mesh, pde, constrain=True)
-    stiffness_raw = fem.assemble_system(mesh, pde, constrain=False)
+    stiffness_raw = fem.assemble_system(mesh, pde)
     load = fem.constrain_rhs(mesh, fem.load_vector(mesh, source_fn))
-    truth = factorize(system).solve(load)
+    truth = factorize(fem.constrain_system(mesh, stiffness_raw)).solve(load)
     truth_energy = float(np.sqrt(truth @ (stiffness_raw @ truth)))
 
     patches = build_patches(mesh, pde, source_fn, truth)
@@ -740,11 +750,9 @@ def assemble_gfem_and_solve(problem, spaces):
     dropped = 0
     for i, space in enumerate(spaces):
         c = coupling.energy_coords(i, space.coords)
-        k_ii = c.T @ (coupling.pairs[(i, i)] @ c)
-        lam, vecs = np.linalg.eigh(0.5 * (k_ii + k_ii.T))
-        kept = lam > REDUCED_RTOL * np.max(lam, initial=0.0)
-        dropped += int(kept.size - kept.sum())
-        scaled.append(c @ (vecs[:, kept] / np.sqrt(lam[kept])))
+        lam, vecs = _energy_drop(c.T @ (coupling.pairs[(i, i)] @ c))
+        dropped += c.shape[1] - lam.size
+        scaled.append(c @ (vecs / np.sqrt(lam)))
     sizes = np.array([c.shape[1] for c in scaled], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     ncols = int(offsets[-1])
@@ -770,8 +778,7 @@ def assemble_gfem_and_solve(problem, spaces):
                                                offsets[1:])):
         x = coupling.frame_coords(i, c @ coeff[lo:hi])
         keep, gids = coupling.keep_masks[i], coupling.kept_gids[i]
-        patch = space.patch
-        u = patch.core.frame @ x[:-1] + patch.u_f_residual * x[-1]
+        u = _lift(space.patch, x)
         u_gfem[gids] += coupling.kept_weights[i] * u[keep]
 
     diff = problem.truth - u_gfem
@@ -806,8 +813,7 @@ def _local_error(coupling, i, space):
         b = c.T @ coupling.error_rhs[i]
         coeff, *_ = np.linalg.lstsq(g, b, rcond=None)
         y = c @ coeff
-        resid = u - (patch.core.frame @ y[:-1] + patch.u_f_residual * y[-1]
-                     - coupling.frame_means[i] @ y)
+        resid = u - (_lift(patch, y) - coupling.frame_means[i] @ y)
     gram = patch.core.range_space.gram
     num = float(np.sqrt(max(resid @ (gram @ resid), 0.0)))
     return num / max(patch.truth_energy, 1e-300)

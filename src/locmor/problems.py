@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (PdeSpec, assemble_interface_l2, assemble_system,
-                  box_indicator, build_rect_mesh)
+                  box_indicator, build_rect_mesh, constrain_system)
 from .linalg import InnerProductSpace, factorize
 from .transfer import TransferOperator
 
@@ -29,7 +29,8 @@ def build_interface_transfer(h_inv, length=1.0, width=1.0, kappa=0.0):
         pde = PdeSpec("laplace")
     else:
         pde = PdeSpec("helmholtz", kappa=kappa)
-    factorization = factorize(assemble_system(mesh, pde))
+    factorization = factorize(
+        constrain_system(mesh, assemble_system(mesh, pde)))
 
     gram_l, ids_l = assemble_interface_l2(mesh,
                                           mesh.nodes_on_line("x", -length))

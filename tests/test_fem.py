@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from locmor.fem import (GAMMA_OUT, SIGMA_D, SIGMA_N, PdeSpec,
-                        assemble_interface_l2, assemble_mass,
-                        assemble_mass_subdomain, assemble_system,
-                        build_rect_mesh, constrain_rhs, load_vector,
+from locmor.fem import (_REFERENCE, GAMMA_OUT, SIGMA_D, SIGMA_N, PdeSpec,
+                        assemble_energy_product, assemble_interface_l2,
+                        assemble_mass, assemble_mass_subdomain,
+                        assemble_system, build_rect_mesh, centroid_values,
+                        constrain_rhs, constrain_system, load_vector,
                         path_l2_gram)
+from locmor.problems import build_gfem_mesh, gfem_field
 
 
 def test_mesh_counts_q1_and_crisscross():
@@ -72,7 +75,7 @@ def test_stiffness_kernel_and_partition():
     # gradients annihilate constants; mass integrates them exactly
     for kind in ("q1", "p1x"):
         mesh = build_rect_mesh((0, 1, 0, 1), 0.25, kind=kind)
-        a = assemble_system(mesh, PdeSpec(), constrain=False)
+        a = assemble_system(mesh, PdeSpec())
         ones = np.ones(mesh.n_nodes)
         assert np.abs(a @ ones).max() < 1e-13
         m = assemble_mass(mesh)
@@ -83,7 +86,7 @@ def test_element_matrices_match_quadrature_oracle():
     # one-element mesh against dense Gauss quadrature of the bilinear form
     h = 0.7
     mesh = build_rect_mesh((0, h, 0, h), h, kind="q1")
-    a = assemble_system(mesh, PdeSpec(), constrain=False).toarray()
+    a = assemble_system(mesh, PdeSpec()).toarray()
 
     g = np.array([-1.0, 1.0]) / np.sqrt(3.0)
     pts = [(0.5 * (1 + s), 0.5 * (1 + t)) for s in g for t in g]
@@ -120,8 +123,7 @@ def test_element_matrices_match_quadrature_oracle():
             ref[1][np.ix_(tri, tri)] += k * local
         for pde, expected in ((PdeSpec(), ref[0]),
                               (PdeSpec(kind="diffusion"), ref[1])):
-            a = assemble_system(mesh, pde, constrain=False,
-                                coefficient=coefficient).toarray()
+            a = assemble_system(mesh, pde, coefficient=coefficient).toarray()
             assert np.abs(a - expected).max() < 1e-13
 
 
@@ -132,10 +134,60 @@ def test_linear_fields_are_exact():
         mesh = build_rect_mesh((0, 1, 0, 1), 0.125, kind=kind,
                                tag_fn=lambda x, y: "sigma_D")
         u = mesh.coords[:, 0].copy()
-        a = assemble_system(mesh, PdeSpec(), constrain=False)
+        a = assemble_system(mesh, PdeSpec())
         res = a @ u
         free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.constrained_nodes)
         assert np.abs(res[free]).max() < 1e-13
+
+
+def _bitwise_equal(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                            (a.data, b.data)))
+
+
+def _filtered_triplets(mesh, pde):
+    """The constrained system in one COO to CSR pass: every element
+    triplet outside the constrained rows, then one identity entry per
+    constrained node."""
+    stiff, mass = _REFERENCE[mesh.kind]
+    conn = mesh.elements
+    if pde.kind == "diffusion":
+        k = centroid_values(mesh, pde.coefficient)
+        data = (k[:, None] * stiff.ravel()[None, :]).ravel()
+    else:
+        local = stiff - pde.kappa ** 2 * mass * mesh.element_area
+        data = np.tile(local.ravel(), conn.shape[0])
+    rows = np.repeat(conn, conn.shape[1], axis=1).ravel()
+    cols = np.tile(conn, (1, conn.shape[1])).ravel()
+    nodes = mesh.constrained_nodes
+    keep = ~np.isin(rows, nodes)
+    return sp.coo_matrix(
+        (np.concatenate([data[keep], np.ones(nodes.size)]),
+         (np.concatenate([rows[keep], nodes]),
+          np.concatenate([cols[keep], nodes]))),
+        shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+def _channel(x, y):
+    return "gamma_out" if abs(abs(x) - 1.0) <= 1e-9 else "sigma_N"
+
+
+@pytest.mark.parametrize("kind, pde", [
+    ("q1", PdeSpec()),
+    ("q1", PdeSpec("helmholtz", kappa=7.0)),
+    ("p1x", gfem_field("uniform")[0]),
+    ("p1x", gfem_field("channels")[0]),
+])
+def test_constrained_system_matches_filtered_triplets(kind, pde):
+    # identity rows on the summed stiffness are bitwise the filtered
+    # element triplets, explicit zeros included
+    if kind == "q1":
+        mesh = build_rect_mesh((-1.0, 1.0, 0.0, 1.0), 0.1, "q1", _channel)
+    else:
+        mesh = build_gfem_mesh(20)
+    system = constrain_system(mesh, assemble_system(mesh, pde))
+    assert _bitwise_equal(system, _filtered_triplets(mesh, pde))
 
 
 def test_manufactured_solution_convergence():
@@ -145,7 +197,7 @@ def test_manufactured_solution_convergence():
     for h in hs:
         mesh = build_rect_mesh((0, 1, 0, 1), h, kind="p1x",
                                tag_fn=lambda x, y: "sigma_D")
-        a = assemble_system(mesh, PdeSpec())
+        a = constrain_system(mesh, assemble_system(mesh, PdeSpec()))
         f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         b = constrain_rhs(mesh, load_vector(mesh, f))
         u = spla.spsolve(a.tocsc(), b)
@@ -172,9 +224,8 @@ def test_diffusion_coefficient_boxes():
 
 def test_helmholtz_shift_is_mass():
     mesh = build_rect_mesh((0, 1, 0, 1), 0.25, kind="p1x")
-    lap = assemble_system(mesh, PdeSpec(), constrain=False)
-    helm = assemble_system(mesh, PdeSpec(kind="helmholtz", kappa=3.0),
-                           constrain=False)
+    lap = assemble_system(mesh, PdeSpec())
+    helm = assemble_system(mesh, PdeSpec(kind="helmholtz", kappa=3.0))
     m = assemble_mass(mesh)
     assert np.abs((lap - 9.0 * m - helm).toarray()).max() < 1e-12
 
@@ -192,12 +243,17 @@ def test_subdomain_products_restrict():
     m_sub, ids = assemble_mass_subdomain(mesh, box)
     ones = np.ones(ids.size)
     assert abs(ones @ m_sub @ ones - 0.25) < 1e-12
-    from locmor.fem import assemble_energy_product
     gram, ids2 = assemble_energy_product(mesh, PdeSpec(), box)
     assert np.array_equal(ids, ids2)
     assert np.abs(gram @ ones).max() < 1e-13
     x = mesh.coords[ids2, 0]
     assert abs(x @ gram @ x - 0.25) < 1e-12
+    # over the mesh's own box the energy Gram is the stiffness, bitwise
+    for field in ("uniform", "channels"):
+        pde = gfem_field(field)[0]
+        gram, ids = assemble_energy_product(mesh, pde, mesh.bounds)
+        assert np.array_equal(ids, np.arange(mesh.n_nodes))
+        assert _bitwise_equal(gram, assemble_system(mesh, pde))
 
 
 def test_path_l2_gram_uniform_line():

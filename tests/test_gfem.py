@@ -7,7 +7,7 @@ import pytest
 import locmor.gfem
 import locmor.linalg
 from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
-                        centroid_values)
+                        centroid_values, constrain_system)
 from locmor.gfem import (LocalReducedSpace, _build_patch, _core_trace_split,
                          _pou_weights, _upper_band_view, _write_band_block,
                          assemble_gfem_and_solve,
@@ -279,8 +279,9 @@ def test_trace_operator_lifts_to_nodal_operator(field):
         # the lifted trace operator is the nodal transfer operator with
         # the core-L2 constant projected out on interior patches
         nodal = TransferOperator(
-            factorize(assemble_system(patch.mesh, pde)), patch.source_ids,
-            patch.range_ids, patch.source,
+            factorize(constrain_system(patch.mesh,
+                                       assemble_system(patch.mesh, pde))),
+            patch.source_ids, patch.range_ids, patch.source,
             patch.core.range_space).apply_block(np.eye(patch.source.dim))
         if not patch.touches_dirichlet:
             ones = np.ones(patch.n_range)

@@ -9,7 +9,7 @@ from locmor.gfem import _build_patch
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            factorize, gram_extremal_eigenvalues)
 from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
-                        centroid_values)
+                        centroid_values, constrain_system)
 from locmor.problems import build_gfem_mesh, build_interface_transfer, \
     gfem_field
 from conftest import random_spd
@@ -38,7 +38,8 @@ def test_factorization_fill_below_colamd():
     lu = op.factorization._lu
     # the mesh build_interface_transfer factors at 1/h = 20
     mesh = build_rect_mesh((-1.0, 1.0, 0.0, 1.0), 1.0 / 20, "q1", _channel)
-    matrix = sp.csc_matrix(assemble_system(mesh, PdeSpec("laplace")))
+    matrix = sp.csc_matrix(
+        constrain_system(mesh, assemble_system(mesh, PdeSpec("laplace"))))
     colamd = spla.splu(matrix, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     b = np.random.default_rng(43).standard_normal(matrix.shape[0])
@@ -58,7 +59,8 @@ def test_factorization_fill_below_colamd():
 def test_factorize_rejects_resonant_helmholtz(bounds, kind, tag_fn, kappa):
     mesh = build_rect_mesh(bounds, 0.1, kind, tag_fn)
     with pytest.raises(NearSingularError):
-        factorize(assemble_system(mesh, PdeSpec("helmholtz", kappa=kappa)))
+        factorize(constrain_system(
+            mesh, assemble_system(mesh, PdeSpec("helmholtz", kappa=kappa))))
 
 
 def test_gram_extremal_eigenvalues_dense_certified():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import locmor.transfer
-from locmor.fem import assemble_system
+from locmor.fem import assemble_system, constrain_system
 from locmor.gfem import build_gfem_problem
 from locmor.linalg import InnerProductSpace, factorize
 from locmor.oracle import weighted_svd
@@ -81,7 +81,8 @@ def test_kernel_projection_identities(toy_gfem):
     # the operator is the plain transfer map followed by the core-mass
     # projection off the constant
     plain_op = TransferOperator(
-        factorize(assemble_system(patch.mesh, pde, constrain=True)),
+        factorize(constrain_system(patch.mesh,
+                                   assemble_system(patch.mesh, pde))),
         patch.source_ids, patch.range_ids, patch.source,
         patch.core.range_space)
     rng = np.random.default_rng(79)
