@@ -5,8 +5,7 @@ from .fem import PdeSpec, RectMesh, build_rect_mesh
 from .gfem import (build_gfem_problem, build_patches, gfem_run, local_space,
                    partition_of_unity, tolerance_cascade)
 from .linalg import InnerProductSpace, NearSingularError, RangeBasis, factorize
-from .oracle import (analytic_interface_sigma, transfer_eigenproblem,
-                     weighted_svd)
+from .oracle import weighted_svd
 from .problems import build_gfem_mesh, build_interface_transfer, gfem_field
 from .rangefinder import (RngStream, a_priori_bound, adaptive_randomized_range,
                           c_eff, c_est, fixed_rank_range, norm_estimate,
@@ -26,7 +25,6 @@ __all__ = [
     "TransferOperator",
     "a_priori_bound",
     "adaptive_randomized_range",
-    "analytic_interface_sigma",
     "build_gfem_mesh",
     "build_gfem_problem",
     "build_interface_transfer",
@@ -43,7 +41,6 @@ __all__ = [
     "partition_of_unity",
     "projection_error",
     "tolerance_cascade",
-    "transfer_eigenproblem",
     "weighted_svd",
     "__version__",
 ]

@@ -7,11 +7,16 @@ the residual operator, formed from a fixed batch of reused test vectors,
 falls below the target tolerance.  The estimate is an upper bound for the
 true residual norm with probability 1 - eps_algofail, uniformly over all
 iterations.
+
+Only the decision to stop reads the estimate, not the draws, so the loop
+applies its draws a block at a time and still checks the estimate after
+each column that joins the basis.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .linalg import RangeBasis, gram_norms
 from .oracle import weighted_svd
@@ -20,6 +25,11 @@ from .transfer import DenseOperator
 
 # consecutive rejected draws before declaring rank exhaustion
 MAX_CONSECUTIVE_REJECTS = 5
+# largest block of images the adaptive loop draws at once
+MAX_BLOCK = 8
+# pivots of the residual tests' Gram matrix below this times its largest
+# diagonal entry are roundoff when the block size reads the residual's rank
+RANK_RTOL = 1e-12
 
 
 # a stream's first refill computes one vector and each later one twice
@@ -124,6 +134,34 @@ def _draw_images(op, count, rng):
     return op.apply_block(block)
 
 
+def _block_size(basis, tol, limit, tests, g_tests):
+    """Images the adaptive loop draws next.
+
+    One until two estimates exist.  Then half the steps left that the
+    mean log decay of the estimates predicts, log(estimate / tol) / rate
+    with rate = log(first estimate / estimate) / len(basis), so that
+    blocks shrink as the estimate nears tol.  At least one, and at most
+    MAX_BLOCK, `limit` (the columns left below min(n_s, n_r)) and the
+    numerical rank of the residual tests `tests` (Gram image `g_tests`):
+    Gaussian images of a residual of rank q <= n_t span its range, and
+    draws past it would count as evaluations but join nothing.
+    """
+    n = len(basis)
+    if n == 0:
+        return 1
+    first = basis.diagnostics[0]["estimate"]
+    last = basis.diagnostics[-1]["estimate"]
+    rate = math.log(first / last) / n
+    half = MAX_BLOCK if rate <= 0.0 else math.log(last / tol) / rate / 2
+    count = min(int(min(half, MAX_BLOCK)), limit)
+    if count > 1:
+        # pivoted Cholesky of the tests' Gram matrix stops at its rank
+        gram = tests.T @ g_tests
+        rank = lapack.dpstrf(gram, tol=RANK_RTOL * gram.diagonal().max())[2]
+        count = min(count, rank)
+    return max(count, 1)
+
+
 def test_vector_norms(op, n_t, rng):
     """Range norms of n_t random operator images."""
     return op.range_space.norms(_draw_images(op, n_t, rng))
@@ -144,13 +182,17 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
     """Grow a range basis until the residual norm estimate is <= tol.
 
     Test vectors are drawn once, reused across iterations, and kept
-    orthogonal to the growing basis.  At termination the projection error
-    is <= tol with probability at least 1 - eps_algofail.  Exactly
-    len(basis) + n_t operator evaluations are spent unless draws get
-    rejected near rank exhaustion (each rejected draw still counts, and
-    MAX_CONSECUTIVE_REJECTS consecutive rejections abort with the
-    exhausted flag).  The basis is also exhausted once it reaches
-    min(source dim, range dim) columns.
+    orthogonal to the growing basis.  Draws are applied in blocks sized by
+    _block_size, one standard_normal call per column in stream order, and
+    join the basis one column at a time, each followed by a test update
+    and a diagnostics entry.  The rest of a block joins even after the
+    estimate is <= tol: the error only falls, so at termination the
+    projection error is <= tol with probability at least 1 - eps_algofail.
+    Exactly len(basis) + n_t operator evaluations are spent unless draws
+    get rejected near rank exhaustion (each rejected draw still counts,
+    and MAX_CONSECUTIVE_REJECTS consecutive rejections before tol is met
+    abort with the exhausted flag).  The basis is also exhausted once it
+    reaches min(source dim, range dim) columns.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -165,6 +207,8 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
     tests = _draw_images(op, n_t, rng)
     basis.evaluations = n_t
 
+    pending = []
+    met = False
     rejects = 0
     while True:
         # one Gram image of the tests serves their norms and their update
@@ -177,17 +221,28 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
             "estimate": estimate,
             "evaluations": basis.evaluations,
         })
-        if estimate <= tol:
-            break
-        if len(basis) >= n_t_bound:
-            basis.exhausted = True
-            break
-        draw = op.apply(rng.standard_normal(n_s))
-        basis.evaluations += 1
+        met = met or estimate <= tol
+        if not pending:
+            if met:
+                break
+            if len(basis) >= n_t_bound:
+                basis.exhausted = True
+                break
+            count = _block_size(basis, tol, n_t_bound - len(basis), tests,
+                                g_tests)
+            basis.evaluations += count
+            # one draw goes through apply, which a dense operator does as
+            # a matrix-vector product; the columns of a block are copied
+            # contiguous, like the single images
+            if count == 1:
+                pending = [op.apply(rng.standard_normal(n_s))]
+            else:
+                pending = list(_draw_images(op, count, rng).T.copy())
+        draw = pending.pop(0)
         if not basis.extend(draw):
             rejects += 1
             if rejects >= MAX_CONSECUTIVE_REJECTS:
-                basis.exhausted = True
+                basis.exhausted = not met
                 break
             continue
         rejects = 0

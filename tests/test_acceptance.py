@@ -13,7 +13,7 @@ import pytest
 from locmor.experiments import nearest_rank
 from locmor.gfem import gfem_run, partition_of_unity
 from locmor.linalg import InnerProductSpace
-from locmor.oracle import analytic_interface_sigma, weighted_svd
+from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, build_interface_transfer
 from locmor.rangefinder import (RngStream, a_priori_bound,
                                 adaptive_randomized_range, c_eff, c_est,
@@ -22,6 +22,7 @@ from locmor.rangefinder import (RngStream, a_priori_bound,
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf, erf_inv, gamma_q, gamma_q_inv
 from locmor.transfer import DenseOperator, ResidualOperator
+from oracles import analytic_interface_sigma
 
 # orthonormality residuals of every basis produced while the gate runs;
 # criterion 12 asserts over the collection

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from locmor.linalg import InnerProductSpace, RangeBasis
-from locmor.oracle import (analytic_interface_sigma, transfer_eigenproblem,
-                           weighted_svd)
+from locmor.oracle import weighted_svd
 from locmor.problems import build_interface_transfer
 from locmor.rangefinder import projection_error
 from locmor.transfer import DenseOperator
 from conftest import random_spd
+from oracles import analytic_interface_sigma, transfer_eigenproblem
 
 
 def test_identity_operator_spectrum():

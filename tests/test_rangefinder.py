@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from locmor.linalg import InnerProductSpace
+from locmor.linalg import InnerProductSpace, RangeBasis
 from locmor.problems import build_interface_transfer
-from locmor.rangefinder import (RNG_CHUNK_UNIFORMS, RngStream, a_priori_bound,
-                                adaptive_randomized_range, c_eff, c_est,
-                                fixed_rank_range, norm_estimate,
+from locmor.rangefinder import (MAX_BLOCK, RNG_CHUNK_UNIFORMS, RngStream,
+                                a_priori_bound, adaptive_randomized_range,
+                                c_eff, c_est, fixed_rank_range, norm_estimate,
                                 projection_error)
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf
@@ -186,6 +186,51 @@ def test_adaptive_exhaustion_paths():
     assert capped.exhausted
     assert len(capped) == 4
     assert capped.evaluations == 4 + 3
+    assert all(count <= 4 - n for n, count in _blocks(capped))
+
+
+def _blocks(basis):
+    """(basis size, column count) of each block the adaptive loop drew
+    after its tests, read off the evaluation counts of its estimates."""
+    d = basis.diagnostics
+    return [(a["n"], b["evaluations"] - a["evaluations"])
+            for a, b in zip(d, d[1:]) if b["evaluations"] > a["evaluations"]]
+
+
+def _flat_then_tail(tail):
+    """Ten unit singular values, then twenty equal to `tail`."""
+    space = InnerProductSpace.euclidean(30)
+    return DenseOperator(np.diag(np.r_[np.ones(10), np.full(20, tail)]),
+                         space, space)
+
+
+def test_adaptive_stop_mid_block_keeps_the_rest():
+    # tol does not need the tail, but the flat decay seen so far predicts
+    # many more steps, so the estimate passes tol inside a block
+    op, tol, n_t = _flat_then_tail(1e-5), 1e-2, 8
+    basis = adaptive_randomized_range(op, tol, n_t, 1e-12, RngStream(1))
+    est = [d["estimate"] for d in basis.diagnostics]
+    stop = next(i for i, e in enumerate(est) if e <= tol)
+    # the rest of the block joins the basis, and the estimate keeps falling
+    assert basis.diagnostics[stop]["n"] < len(basis)
+    assert all(a >= b for a, b in zip(est[stop:], est[stop + 1:]))
+    assert basis.evaluations == len(basis) + n_t
+    assert not basis.exhausted
+    assert projection_error(op, basis) <= tol
+    blocks = _blocks(basis)
+    assert max(count for _, count in blocks) == MAX_BLOCK
+    assert all(count <= min(MAX_BLOCK, 30 - m) for m, count in blocks)
+
+
+def test_adaptive_blocks_stop_at_the_residual_rank():
+    # rank 10: once the residual tests show one direction left, the block
+    # holds one column, so no draw is rejected
+    op, n_t = _flat_then_tail(0.0), 8
+    basis = adaptive_randomized_range(op, 1e-6, n_t, 1e-12, RngStream(1))
+    assert len(basis) == 10
+    assert basis.evaluations == 10 + n_t
+    assert not basis.exhausted
+    assert max(count for _, count in _blocks(basis)) == MAX_BLOCK
 
 
 def test_adaptive_input_validation():
@@ -237,7 +282,7 @@ def test_a_priori_bound_values():
 
 class _Recording:
     """Forward to an operator, recording every apply_block input and
-    output."""
+    output, and every apply as a one-column block."""
 
     def __init__(self, op):
         self.op = op
@@ -246,7 +291,9 @@ class _Recording:
         self.blocks = []
 
     def apply(self, zeta):
-        return self.op.apply(zeta)
+        out = self.op.apply(zeta)
+        self.blocks.append((zeta[:, None].copy(), out[:, None]))
+        return out
 
     def apply_block(self, block):
         out = self.op.apply_block(block)
@@ -325,21 +372,24 @@ def test_fixed_rank_block_matches_columnwise(sparse_ops, which, n):
 @pytest.mark.parametrize("which", [0, 1])
 def test_adaptive_block_matches_columnwise(sparse_ops, which):
     op = sparse_ops[which]
-    n_t = 5
-    blocked, columnwise = _Recording(op), _Columnwise(op)
-    rng_b, rng_c = RngStream(71), RngStream(71)
-    basis_b = adaptive_randomized_range(blocked, 1e-4, n_t, 1e-10, rng_b)
-    basis_c = adaptive_randomized_range(columnwise, 1e-4, n_t, 1e-10, rng_c)
-    assert rng_b.draws == rng_c.draws
-    assert basis_b.evaluations == basis_c.evaluations == len(basis_b) + n_t
-    assert len(basis_b) == len(basis_c) > 0
-    est_b = [d["estimate"] for d in basis_b.diagnostics]
-    est_c = [d["estimate"] for d in basis_c.diagnostics]
-    assert np.allclose(est_b, est_c, rtol=1e-8, atol=0.0)
-    # only the test vectors go as a block; the loop's draws stay single
-    assert len(blocked.blocks) == 1
-    assert np.array_equal(blocked.blocks[0][0], _draws(71, op.n_source, n_t))
+    n_t, tol = 5, 1e-4
+    blocked = _Recording(op)
+    rng = RngStream(71)
+    basis = adaptive_randomized_range(blocked, tol, n_t, 1e-10, rng)
+    assert basis.evaluations == len(basis) + n_t
+    assert rng.draws == basis.evaluations * op.n_source
+    assert basis.diagnostics[-1]["estimate"] <= tol
+    # the tests, then every block of the loop, each drawn column by
+    # column in stream order; some blocks hold several columns
+    drawn = np.hstack([block for block, _ in blocked.blocks])
+    assert np.array_equal(drawn, _draws(71, op.n_source, basis.evaluations))
+    assert max(block.shape[1] for block, _ in blocked.blocks[1:]) > 1
     _assert_images_match_columns(blocked)
+    # and the basis takes the single images one by one in that order
+    reference = RangeBasis(op.range_space)
+    for k in range(n_t, drawn.shape[1]):
+        assert reference.extend(op.apply(drawn[:, k]))
+    assert np.abs(reference.matrix - basis.matrix).max() <= 1e-8
 
 
 class _CountingGram:
