@@ -231,9 +231,9 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
             count = _block_size(basis, tol, n_t_bound - len(basis), tests,
                                 g_tests)
             basis.evaluations += count
-            # one draw goes through apply, which a dense operator does as
-            # a matrix-vector product; the columns of a block are copied
-            # contiguous, like the single images
+            # single draws go through apply, so bench/tracer.py still sees
+            # the loop's `transfer.apply` spans; the columns of a block
+            # are copied contiguous, like the single images
             if count == 1:
                 pending = [op.apply(rng.standard_normal(n_s))]
             else:

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
+from locmor.linalg import _as_2d_array
 from locmor.oracle import SpectralData
 
 # eigenvalues below this times the top one are numerical noise
@@ -27,9 +27,7 @@ def transfer_eigenproblem(op):
     matrix = op.matrix
     a = matrix.T @ op.range_space.apply_gram(matrix)
     a = 0.5 * (a + a.T)
-    gram = op.source.gram
-    lam, vecs = scipy.linalg.eigh(
-        a, gram.toarray() if sp.issparse(gram) else gram)
+    lam, vecs = scipy.linalg.eigh(a, _as_2d_array(op.source.gram))
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
     top = max(lam[0], 0.0)
