@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gfem import build_gfem_problem, gfem_run
+from .gfem import STRIDE, build_gfem_problem, gfem_run
 from .oracle import weighted_svd
 from .problems import build_gfem_mesh, build_interface_transfer, gfem_field
 from .rangefinder import (RngStream, a_priori_bound, adaptive_randomized_range,
@@ -110,7 +110,12 @@ def _check_choice(name, value, choices):
 def _check_on_grid(merged):
     """Raise ValueError unless length and width are integer multiples of
     every mesh spacing 1 / h_inv, so the far edges and the mid line
-    x = 0 of the channel are mesh lines."""
+    x = 0 of the channel are mesh lines, and unless the GFEM patch
+    stride STRIDE is a multiple of the mesh spacing 1 / n_cells."""
+    cells = merged.get("n_cells", 0) * STRIDE
+    if abs(cells - round(cells)) > 1e-6:
+        raise ValueError(f"params n_cells must put the patch stride {STRIDE} "
+                         f"on mesh lines, got {merged['n_cells']!r}")
     if "length" not in merged:
         return
     h_invs = merged["h_invs"] if "h_invs" in merged else [merged["h_inv"]]

@@ -90,10 +90,6 @@ class GfemPatch:
     truth_energy: float
     trace_norm: float
 
-    @property
-    def n_range(self):
-        return self.range_ids.size
-
 
 def _hat_profile(x, lo, hi, ramp, is_first, is_last):
     """1D flat-top hat: 1 on the core, linear over the overlap band."""

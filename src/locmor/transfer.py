@@ -19,11 +19,10 @@ class DenseOperator:
         self.source = source
         self.range_space = range_space
 
-    def apply(self, zeta):
-        return self.matrix @ zeta
-
     def apply_block(self, block):
         return self.matrix @ block
+
+    apply = apply_block
 
 
 class TransferOperator:
@@ -55,19 +54,17 @@ class TransferOperator:
     def n_source(self):
         return self.source.dim
 
-    def apply(self, zeta):
-        """Apply to one source coefficient vector."""
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape != (self.n_source,):
-            raise ValueError("source coefficient vector has wrong length")
-        return self.apply_block(zeta[:, None])[:, 0]
-
     def apply_block(self, block):
-        """Apply to source coefficient columns in one multi-RHS solve."""
+        """Apply to one source coefficient vector, or to columns of them
+        in one multi-RHS solve."""
         block = np.asarray(block, dtype=float)
-        rhs = np.zeros((self.n_total, block.shape[1]))
+        if block.shape[:1] != (self.n_source,):
+            raise ValueError("source coefficients have the wrong length")
+        rhs = np.zeros((self.n_total, *block.shape[1:]))
         rhs[self.source_ids] = block
         return self.factorization.solve(rhs)[self.range_ids]
+
+    apply = apply_block
 
     def assemble_dense(self):
         """Dense form from one block solve on the identity: forward over
@@ -99,12 +96,11 @@ class ResidualOperator:
         self.source = op.source
         self.range_space = op.range_space
 
-    def apply(self, zeta):
-        return self.apply_block(np.asarray(zeta, dtype=float)[:, None])[:, 0]
-
     def apply_block(self, block):
         out = self.op.apply_block(block)
         b = self.basis.matrix
         if b.shape[1]:
             out = out - b @ (b.T @ (self.range_space.apply_gram(out)))
         return out
+
+    apply = apply_block

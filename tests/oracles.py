@@ -1,9 +1,11 @@
 """Test oracles for dense transfer operators: a generalized symmetric
-eigenproblem in the source Gram, an independent route to the spectrum
-that `locmor.oracle.weighted_svd` computes, and the closed-form singular
-values of the straight channel problem."""
+eigenproblem in the source Gram, an independent route to the singular
+values that `locmor.oracle.weighted_svd` computes and the one that also
+gives the singular vectors, and the closed-form singular values of the
+straight channel problem."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -16,6 +18,20 @@ NOISE_FLOOR_RTOL = 1e-14
 # negative eigenvalues beyond this are a hard error, closer to zero they
 # are clamped
 NEGATIVE_NOISE_TOL = 1e-12
+
+
+@dataclass
+class Eigenpairs(SpectralData):
+    """Spectrum with its vectors: eigenvalues sigmas**2; coefficients
+    columns are source-Gram orthonormal; range_vectors are their operator
+    images (range-Gram orthogonal with squared norms eigenvalues);
+    left_vectors are range-Gram orthonormal where sigma > 0, zero
+    elsewhere."""
+
+    eigenvalues: np.ndarray
+    coefficients: np.ndarray
+    range_vectors: np.ndarray
+    left_vectors: np.ndarray
 
 
 def transfer_eigenproblem(op):
@@ -41,8 +57,8 @@ def transfer_eigenproblem(op):
     positive = sigmas > 0.0
     left = np.zeros_like(range_vectors)
     left[:, positive] = range_vectors[:, positive] / sigmas[positive]
-    return SpectralData(eigenvalues=lam, sigmas=sigmas, coefficients=vecs,
-                        range_vectors=range_vectors, left_vectors=left)
+    return Eigenpairs(sigmas=sigmas, eigenvalues=lam, coefficients=vecs,
+                      range_vectors=range_vectors, left_vectors=left)
 
 
 def analytic_interface_sigma(i, length, width):

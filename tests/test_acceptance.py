@@ -22,6 +22,7 @@ from locmor.rangefinder import (RngStream, a_priori_bound,
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf, erf_inv, gamma_q, gamma_q_inv
 from locmor.transfer import DenseOperator, ResidualOperator
+from conftest import random_spd
 from oracles import analytic_interface_sigma
 
 # orthonormality residuals of every basis produced while the gate runs;
@@ -47,15 +48,6 @@ def _ortho_residual(basis):
 def _track(basis):
     _PRODUCED.append(_ortho_residual(basis))
     return basis
-
-
-def _random_spd(rng, n, cond=None):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    if cond is None:
-        eig = rng.uniform(0.5, 2.0, size=n)
-    else:
-        eig = np.geomspace(1.0, cond, n)
-    return (q * eig) @ q.T
 
 
 def test_criterion_01_mesh_exactness(capsys, interface160):
@@ -309,8 +301,8 @@ def test_criterion_12_property_suites(capsys, interface40):
         k_s = int(rng.integers(6, 13))
         cond = None if trial % 2 == 0 else 10.0 ** rng.uniform(1.0, 3.0)
         t_mat = rng.standard_normal((m, k_s))
-        source = InnerProductSpace(_random_spd(rng, k_s, cond))
-        range_space = InnerProductSpace(_random_spd(rng, m, cond))
+        source = InnerProductSpace(random_spd(rng, k_s, cond))
+        range_space = InnerProductSpace(random_spd(rng, m, cond))
         s_lo, s_hi = source.extremal_eigenvalues()
         r_lo, r_hi = range_space.extremal_eigenvalues()
         u, sv, _ = np.linalg.svd(t_mat)

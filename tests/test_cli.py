@@ -279,6 +279,8 @@ def test_console_script_and_error_exit_codes(tmp_path):
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "h_inv": "10"}},
         {**SMALL_FIXED, "experiment": "example4-gfem",
          "params": {"n_cells": 0}},
+        {**SMALL_FIXED, "experiment": "example4-gfem",
+         "params": {"n_cells": 25}},
         {**SMALL_FIXED, "experiment": "example1-hdep",
          "params": {"h_invs": [0]}},
         {**SMALL_ADAPTIVE, "params": {**SMALL_ADAPTIVE["params"],

@@ -262,7 +262,7 @@ def test_trace_operator_lifts_to_nodal_operator(field):
         trace = patch.operator.matrix
         gamma, inner = _core_trace_split(patch.mesh, patch.range_ids,
                                          patch.core_box)
-        clamped = np.setdiff1d(np.arange(patch.n_range),
+        clamped = np.setdiff1d(np.arange(patch.range_ids.size),
                                np.concatenate([gamma, inner]))
         assert gamma.size == n_gamma == ext.shape[1] == trace.shape[0]
         assert clamped.size == (0 if grid_pos == (4, 4) else
@@ -284,7 +284,7 @@ def test_trace_operator_lifts_to_nodal_operator(field):
             patch.source_ids, patch.range_ids, patch.source,
             patch.core.range_space).apply_block(np.eye(patch.source.dim))
         if not patch.touches_dirichlet:
-            ones = np.ones(patch.n_range)
+            ones = np.ones(patch.range_ids.size)
             mass = patch.core.core_l2.gram
             nodal -= np.outer(ones, (ones @ (mass @ nodal))
                               / (ones @ (mass @ ones)))
@@ -328,7 +328,7 @@ def test_combined_basis_matches_nodal_gram_schmidt(field):
                 ref.extend(patch.u_f)
                 k = len(ref)
                 if not patch.touches_dirichlet:
-                    inputs.append(np.ones((patch.n_range, 1)))
+                    inputs.append(np.ones((patch.range_ids.size, 1)))
                     ref.extend(inputs[-1][:, 0])
                 assert len(ref) == v.shape[1]
                 # core-L2 projectors V V^T C against W W^T C, C = F F^T

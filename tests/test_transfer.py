@@ -70,7 +70,8 @@ def test_kernel_stage_removes_constants(toy_gfem):
     # generic data: the output is core-mass-orthogonal to constants
     rng = np.random.default_rng(73)
     v = ext @ op.apply(rng.standard_normal(op.source.dim))
-    assert abs(np.ones(patch.n_range) @ (mass @ v)) < 1e-12 * np.abs(v).max()
+    assert abs(np.ones(patch.range_ids.size) @ (mass @ v)) < \
+        1e-12 * np.abs(v).max()
 
 
 def test_kernel_projection_identities(toy_gfem):
@@ -89,7 +90,7 @@ def test_kernel_projection_identities(toy_gfem):
     z = rng.standard_normal(op.source.dim)
     v = patch.core.extension @ op.apply(z)
     plain = plain_op.apply(z)
-    ones = np.ones(patch.n_range)
+    ones = np.ones(patch.range_ids.size)
     mean = (ones @ (mass @ plain)) / (ones @ (mass @ ones))
     projected = plain - mean * ones
     assert np.abs(v - projected).max() < 1e-13 * np.abs(plain).max()
@@ -187,11 +188,26 @@ def test_random_sup_underestimates_norm():
 
 
 def test_apply_block_matches_apply(small_op):
+    from locmor.rangefinder import RngStream, fixed_rank_range
+    for cls in (DenseOperator, TransferOperator, ResidualOperator):
+        assert cls.apply is cls.apply_block
+    dense = small_op.assemble_dense()
+    residual = ResidualOperator(small_op,
+                                fixed_rank_range(small_op, 3, RngStream(4)))
     rng = np.random.default_rng(97)
     block = rng.standard_normal((small_op.n_source, 5))
-    out = small_op.apply_block(block)
-    for k in range(5):
-        assert np.abs(out[:, k] - small_op.apply(block[:, k])).max() < 1e-13
+    for op in (small_op, dense, residual):
+        out = op.apply_block(block)
+        for k in range(5):
+            single = op.apply(block[:, k])
+            # a vector is bitwise a one-column block; wider blocks take
+            # other BLAS kernels (gemm for gemv) and agree to roundoff
+            assert np.array_equal(single,
+                                  op.apply_block(block[:, k:k + 1])[:, 0])
+            assert np.abs(out[:, k] - single).max() < 1e-13
+        for wrong in (block[:-1, 0], block[:-1]):
+            with pytest.raises(ValueError):
+                op.apply(wrong)
 
 
 def test_residual_operator_projects(small_op):
