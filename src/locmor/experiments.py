@@ -195,6 +195,12 @@ class ExperimentConfig:
                 merged[key] = _check_param(key, value, defaults[key],
                                            _check_choice, CHOICE_PARAMS[key])
         _check_on_grid(merged)
+        if "n" in merged:
+            # c_eff needs the remainder rank width * h_inv + 1 - n >= 1
+            n_max = round(merged["width"] * merged["h_inv"])
+            if merged["n"] > n_max:
+                raise ValueError(f"params n must be at most width * h_inv "
+                                 f"= {n_max}, got {merged['n']!r}")
         self.params = merged
         # RngStream keys must lie below 2**128 (Philox).  Run i draws from
         # key seed + i, except in example4-gfem: gfem_run keys its patch
@@ -253,11 +259,10 @@ def default_config(experiment):
 
 def nearest_rank(values, p):
     """Nearest-rank percentile of a sample (p in [0, 100])."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    if ordered.size == 0:
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         raise ValueError("empty sample")
-    k = max(1, math.ceil(p / 100.0 * ordered.size))
-    return float(ordered[min(k, ordered.size) - 1])
+    return float(np.percentile(values, p, method="inverted_cdf"))
 
 
 def summary_stats(values):

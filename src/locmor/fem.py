@@ -325,15 +325,11 @@ def _subdomain_gram(mesh, pde, box, what, coefficient=None):
 def assemble_energy_product(mesh, pde, box, coefficient=None):
     """Energy (semi)inner product over the elements inside a box.
 
-    Returns (gram, node_ids): the stiffness restricted to the subdomain
-    nodes.  The Gram is only semidefinite (constants are flat); it is
-    stored unregularized and callers deflate the kernel where needed.
-    coefficient: see _assemble.
+    Returns (gram, node_ids): the stiffness of a laplace or diffusion
+    pde restricted to the subdomain nodes.  The Gram is only
+    semidefinite (constants are flat); it is stored unregularized and
+    callers deflate the kernel where needed.  coefficient: see _assemble.
     """
-    if pde.kind == "helmholtz":
-        # energy norm of the indefinite operator is taken from its
-        # principal (Laplace) part
-        pde = PdeSpec()
     return _subdomain_gram(mesh, pde, box, "system", coefficient)
 
 

@@ -55,8 +55,8 @@ class GfemPatch:
     """One overlapping patch, complete once built: core and oversampled
     boxes, local mesh and index maps, trace source space, the shared
     core data, partition-of-unity weights, the dense transfer operator,
-    the source response, and the patch's share of the reference
-    solution.
+    the source response in frame coordinates, and the patch's share of
+    the reference solution.
 
     Every transfer image is discrete-harmonic inside the core, so the
     operator maps onto its trace on Γ, the free nodes of the core-box
@@ -84,7 +84,6 @@ class GfemPatch:
     touches_dirichlet: bool
     pou_weights: np.ndarray
     operator: DenseOperator
-    u_f: np.ndarray
     u_f_coords: np.ndarray
     u_f_residual: np.ndarray
     truth_energy: float
@@ -139,10 +138,12 @@ def build_patches(global_mesh, pde, source_fn, truth):
         # the core trace view needs images harmonic in the energy product
         raise ValueError("GFEM patches need a laplace or diffusion pde")
     x0, x1, y0, y1 = global_mesh.bounds
-    n_steps = int(round((x1 - x0 - CORE) / STRIDE)) + 1
-    m_steps = int(round((y1 - y0 - CORE) / STRIDE)) + 1
-    if abs((n_steps - 1) * STRIDE + CORE - (x1 - x0)) > GEOM_TOL:
-        raise ValueError("patch grid does not tile the domain")
+    grid_shape = []
+    for side in (x1 - x0, y1 - y0):
+        grid_shape.append(int(round((side - CORE) / STRIDE)) + 1)
+        if abs((grid_shape[-1] - 1) * STRIDE + CORE - side) > GEOM_TOL:
+            raise ValueError("patch grid does not tile the domain")
+    n_steps, m_steps = grid_shape
 
     coefficient = centroid_values(global_mesh, pde.coefficient)
     load = centroid_values(global_mesh, source_fn)
@@ -163,15 +164,14 @@ def build_patches(global_mesh, pde, source_fn, truth):
 class _LocalProblem:
     """The part of a patch that does not depend on where it sits: range
     index map, shared core, oversampled energy Gram (the unconstrained
-    patch stiffness), the dense trace transfer matrix, and the source
-    response with its frame coordinates and unit residual (see
+    patch stiffness), the dense trace transfer matrix, and the frame
+    coordinates and unit residual of the source response (see
     GfemPatch).  The arrays are read-only, as patches share them."""
 
     range_ids: np.ndarray
     core: _Core
     over_gram: object
     matrix: np.ndarray
-    u_f: np.ndarray
     u_f_coords: np.ndarray
     u_f_residual: np.ndarray
 
@@ -299,10 +299,10 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box, source_ids,
         r = (mass_ones @ core.extension) / mass_ones.sum()
         matrix -= r @ matrix
     u_f_coords, u_f_residual = _source_split(core, u_f)
-    for array in (matrix, u_f, u_f_coords, u_f_residual):
+    for array in (matrix, u_f_coords, u_f_residual):
         array.setflags(write=False)
     return _LocalProblem(range_ids=range_ids, core=core,
-                         over_gram=stiffness, matrix=matrix, u_f=u_f,
+                         over_gram=stiffness, matrix=matrix,
                          u_f_coords=u_f_coords, u_f_residual=u_f_residual)
 
 
@@ -372,8 +372,7 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
         pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
                                  grid_pos, grid_shape),
         operator=DenseOperator(local.matrix, source, local.core.trace_space),
-        u_f=local.u_f, u_f_coords=local.u_f_coords,
-        u_f_residual=local.u_f_residual,
+        u_f_coords=local.u_f_coords, u_f_residual=local.u_f_residual,
         truth_energy=float(np.sqrt(max(u_loc @ (local.over_gram @ u_loc),
                                        0.0))),
         trace_norm=source.norm(truth[local_to_global[source_ids]]))

@@ -10,8 +10,6 @@ import scipy.sparse.linalg as spla
 REORTH_THRESHOLD = 0.1
 # Relative norm below which an incoming vector counts as linearly dependent.
 DROP_TOL = 1e-14
-# Dimension limit for the dense extremal-eigenvalue path.
-DENSE_EIG_LIMIT = 2000
 # Pivot threshold (relative to max |A|) below which a factorization is
 # treated as singular.
 PIVOT_RTOL = 1e-10
@@ -71,39 +69,14 @@ def factorize(matrix):
 # extremal Gram eigenvalues
 
 
-def _certify(lo, hi):
-    # conservative rounding: callers may divide by lo and multiply by hi
-    lo = lo * (1.0 - 1e-9) - 1e-14 * abs(hi)
-    hi = hi * (1.0 + 1e-9) + 1e-14 * abs(hi)
-    return lo, hi
-
-
-def _eigsh_extreme(gram, v0, **kwargs):
-    """One Ritz pair of eigsh and the norm of its residual."""
-    theta, vec = spla.eigsh(gram, k=1, v0=v0, **kwargs)
-    v = vec[:, 0]
-    return float(theta[0]), float(np.linalg.norm(gram @ v - theta[0] * v))
-
-
 def gram_extremal_eigenvalues(gram):
-    """Certified extremal eigenvalues (lo, hi) of a symmetric Gram matrix.
-
-    Below DENSE_EIG_LIMIT a dense eigensolve is used; above, Lanczos
-    (eigsh) for the largest and shift-invert Lanczos about 0 for the
-    smallest, each widened by its residual norm ||G v - theta v||.  A
-    fixed start vector makes the result reproducible.  lo is rounded
-    down, hi rounded up.
-    """
-    n = gram.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        lam = scipy.linalg.eigh(_as_2d_array(gram), eigvals_only=True)
-        return _certify(float(lam[0]), float(lam[-1]))
-
-    gram = sp.csc_matrix(gram)
-    v0 = np.random.default_rng(20_240_401).standard_normal(n)
-    theta_max, resid_max = _eigsh_extreme(gram, v0, which="LA")
-    theta_min, resid_min = _eigsh_extreme(gram, v0, sigma=0.0)
-    return _certify(theta_min - resid_min, theta_max + resid_max)
+    """Certified extremal eigenvalues (lo, hi) of a symmetric Gram matrix
+    from one dense eigensolve, rounded outward: callers may divide by lo
+    and multiply by hi."""
+    lam = scipy.linalg.eigh(_as_2d_array(gram), eigvals_only=True)
+    lo, hi = float(lam[0]), float(lam[-1])
+    return (lo * (1.0 - 1e-9) - 1e-14 * abs(hi),
+            hi * (1.0 + 1e-9) + 1e-14 * abs(hi))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,9 @@ def test_console_script_and_error_exit_codes(tmp_path):
                                       "tols": [-1e-2]}},
         {**SMALL_FIXED, "experiment": "example1-effectivity",
          "params": {"n_t_values": [0]}},
+        # the remainder rank width * h_inv + 1 - n of c_eff is zero
+        {**SMALL_FIXED, "experiment": "example1-effectivity",
+         "params": {"h_inv": 10, "n": 11}},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"],
                                    "n_values": [-1]}},
         {**SMALL_FIXED, "experiment": "example4-gfem",

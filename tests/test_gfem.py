@@ -7,7 +7,8 @@ import pytest
 import locmor.gfem
 import locmor.linalg
 from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
-                        centroid_values, constrain_system)
+                        centroid_values, constrain_rhs, constrain_system,
+                        load_vector)
 from locmor.gfem import (LocalReducedSpace, _build_patch, _core_trace_split,
                          _pou_weights, _upper_band_view, _write_band_block,
                          assemble_gfem_and_solve,
@@ -26,6 +27,16 @@ def _centroid_fields(mesh, pde, source):
     as build_patches hands them to _build_patch."""
     return (centroid_values(mesh, pde.coefficient),
             centroid_values(mesh, source))
+
+
+def _source_response(patch, pde, source):
+    """The nodal source response u_f on the core nodes: the patch
+    problem with zero data on the whole local boundary, solved on
+    patch.mesh."""
+    mesh = patch.mesh
+    stiffness = constrain_system(mesh, assemble_system(mesh, pde))
+    load = constrain_rhs(mesh, load_vector(mesh, source))
+    return factorize(stiffness).solve(load)[patch.range_ids]
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +74,13 @@ def test_interior_trace_count_fine_mesh():
 
 
 def test_nonconforming_patch_grid_raises():
-    # cores of side 0.2 on a 0.1 grid cannot tile a side of 1.05
-    mesh = build_rect_mesh((0.0, 1.05, 0.0, 1.05), 0.05, "p1x",
-                           lambda x, y: "sigma_D")
+    # cores of side 0.2 on a 0.1 grid cannot tile a side of 1.05 or,
+    # with x tiled, one of 0.95
     pde, source = gfem_field("uniform")
-    with pytest.raises(ValueError, match="does not tile"):
-        build_patches(mesh, pde, source, np.zeros(mesh.n_nodes))
+    for bounds in ((0.0, 1.05, 0.0, 1.05), (0.0, 1.0, 0.0, 0.95)):
+        mesh = build_rect_mesh(bounds, 0.05, "p1x", lambda x, y: "sigma_D")
+        with pytest.raises(ValueError, match="does not tile"):
+            build_patches(mesh, pde, source, np.zeros(mesh.n_nodes))
 
 
 def test_partition_of_unity(toy_problem):
@@ -228,7 +240,6 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         assert _same_bits(patch.operator.range_space.gram,
                           alone.operator.range_space.gram)
         assert _same_bits(patch.core.extension, alone.core.extension)
-        assert _same_bits(patch.u_f, alone.u_f)
         assert _same_bits(patch.u_f_coords, alone.u_f_coords)
         assert _same_bits(patch.u_f_residual, alone.u_f_residual)
         assert _same_bits(patch.core.frame, alone.core.frame)
@@ -240,7 +251,7 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         assert np.array_equal(patch.pou_weights, alone.pou_weights)
         # shared arrays refuse in-place writes
         for shared in (patch.operator.matrix, patch.core.extension,
-                       patch.operator.range_space.gram, patch.u_f,
+                       patch.operator.range_space.gram, patch.u_f_coords,
                        patch.core.frame, patch.u_f_residual):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.0
@@ -311,6 +322,8 @@ def test_combined_basis_matches_nodal_gram_schmidt(field):
     # fields: orthonormality 4.5e-15, projector 5.7e-14, residual 6.6e-15
     pde, source = gfem_field(field)
     problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
+    responses = {p.pid: _source_response(p, pde, source)
+                 for p in problem.patches}
     worst_orth = worst_proj = worst_resid = 0.0
     for tol in (1e-2, 1e-4):
         for seed in range(2):
@@ -321,11 +334,12 @@ def test_combined_basis_matches_nodal_gram_schmidt(field):
                 v = s.combined
                 worst_orth = max(worst_orth, np.abs(
                     v.T @ (core_l2.gram @ v) - np.eye(v.shape[1])).max())
+                u_f = responses[patch.pid]
                 inputs = [patch.core.extension @ s.random_basis.matrix,
-                          patch.u_f[:, None]]
+                          u_f[:, None]]
                 ref = RangeBasis(core_l2)
                 ref.extend_block(inputs[0])
-                ref.extend(patch.u_f)
+                ref.extend(u_f)
                 k = len(ref)
                 if not patch.touches_dirichlet:
                     inputs.append(np.ones((patch.range_ids.size, 1)))
@@ -395,7 +409,7 @@ def test_local_space_augmentation(toy_problem):
     quiet = _build_patch(mesh, pde, centroid_values(mesh, pde.coefficient),
                          np.zeros(len(mesh.elements)), toy_problem.truth,
                          interior.core_box, interior.grid_pos, (9, 9), {})
-    assert not quiet.u_f.any()
+    assert not quiet.u_f_coords.any()
     silent = local_space(quiet, 1e-3, 8, 1e-10, RngStream(3))
     assert silent.combined.shape[1] == silent.n_random + 1
 

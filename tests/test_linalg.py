@@ -4,14 +4,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-import locmor.linalg
-from locmor.gfem import _build_patch
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            factorize, gram_extremal_eigenvalues)
 from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
-                        centroid_values, constrain_system)
-from locmor.problems import build_gfem_mesh, build_interface_transfer, \
-    gfem_field
+                        constrain_system)
+from locmor.problems import build_interface_transfer
 from conftest import random_spd
 
 
@@ -72,25 +69,6 @@ def test_gram_extremal_eigenvalues_dense_certified():
     assert hi >= ref[-1] * (1 - 1e-9)
     # conservative: the certified bracket contains the true extremes
     assert lo <= ref[0] and hi >= ref[-1]
-
-
-def test_gram_extremal_sparse_branch_brackets_dense(monkeypatch):
-    # the eigsh path, forced below its size limit
-    source = build_interface_transfer(20, 1.0, 2.0).source
-    pde, load = gfem_field("channels")
-    mesh = build_gfem_mesh(50)
-    patch = _build_patch(mesh, pde, centroid_values(mesh, pde.coefficient),
-                         centroid_values(mesh, load), np.zeros(mesh.n_nodes),
-                         (0.4, 0.6, 0.4, 0.6), (4, 4), (9, 9), {})
-    for gram in (source.gram, patch.core.core_l2.gram):
-        lo_dense, hi_dense = gram_extremal_eigenvalues(gram)
-        with monkeypatch.context() as m:
-            m.setattr(locmor.linalg, "DENSE_EIG_LIMIT", 0)
-            lo, hi = gram_extremal_eigenvalues(gram)
-            # a fixed start vector: repeated calls agree bitwise
-            assert gram_extremal_eigenvalues(gram) == (lo, hi)
-        assert lo_dense * (1.0 - 1e-3) <= lo <= lo_dense
-        assert hi_dense <= hi <= hi_dense * (1.0 + 1e-3)
 
 
 def test_inner_product_space_rejects_asymmetric():
