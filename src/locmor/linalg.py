@@ -203,20 +203,20 @@ class RangeBasis:
         self._n += 1
 
     def extend_block(self, block):
-        """Append many independent columns at once via two-pass Cholesky
-        QR in the space inner product.
+        """Fill an empty basis with many independent columns at once via
+        two-pass Cholesky QR in the space inner product.
 
         Falls back to sequential extends when the block is rank
-        deficient.  Returns the number of accepted columns.
+        deficient.  Returns the number of accepted columns.  Raises
+        ValueError on a non-empty basis.
         """
+        if self._n:
+            raise ValueError("extend_block needs an empty basis")
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.space.dim:
             raise ValueError("block shape does not match the space")
         if block.shape[1] == 0:
             return 0
-        if self._n:
-            b = self.matrix
-            block = block - b @ (b.T @ self.space.apply_gram(block))
         q = block
         ok = False
         try:

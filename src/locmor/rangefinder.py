@@ -32,64 +32,24 @@ MAX_BLOCK = 8
 RANK_RTOL = 1e-12
 
 
-# a stream's first refill computes one vector and each later one twice
-# as many, as far as they fit in RNG_CHUNK_UNIFORMS uniforms (one vector
-# at least), so a stream that draws few vectors computes few spare ones
-RNG_CHUNK_UNIFORMS = 1 << 14
-
-
 class RngStream:
-    """Reproducible standard-normal stream: Box-Muller over a
-    counter-based (Philox) uniform generator.  Identical seeds give
-    identical vector sequences.
-
-    A call for n variates reads 2 ceil(n/2) uniforms, the first half
-    for the radii and the second for the angles.  Vectors are computed
-    in chunks of equal-length calls, one vectorized Box-Muller per
-    chunk; the values are bitwise those of one call at a time, since
-    the uniforms are read in the same order and every operation is
-    elementwise.  When the length changes, the uniforms behind the
-    vectors not yet served start the next chunk.
+    """Reproducible standard-normal stream: numpy's normals over a
+    counter-based (Philox) generator keyed by the seed.  Identical seeds
+    give identical vector sequences, and the rows of one (count, n) draw
+    are bitwise the vectors of count successive draws of n.
     """
 
     def __init__(self, seed):
         self.seed = int(seed)
-        self._uniform = np.random.Generator(np.random.Philox(key=self.seed))
+        self._generator = np.random.Generator(np.random.Philox(key=self.seed))
         self.draws = 0
-        # uniforms drawn for the current chunk, its normals one vector
-        # per row, the rows served so far, and the next chunk's rows
-        self._spare = np.empty(0)
-        self._rows = np.empty((0, 0))
-        self._served = 0
-        self._chunk = 1
 
-    def standard_normal(self, n):
-        """Next n standard normal variates (one call per random vector)."""
-        if n == 0:
-            return np.empty(0)
-        width = 2 * ((n + 1) // 2)
-        if (self._served == self._rows.shape[0]
-                or self._rows.shape[1] != width):
-            self._refill(width)
-        z = self._rows[self._served, :n].copy()
-        self._served += 1
-        self.draws += n
+    def standard_normal(self, size):
+        """Next variates: one vector for an int size, or for (count, n)
+        a block whose rows are count successive vectors of n."""
+        z = self._generator.standard_normal(size)
+        self.draws += z.size
         return z
-
-    def _refill(self, width):
-        unserved = self._spare[self._served * self._rows.shape[1]:]
-        count = max(min(self._chunk, RNG_CHUNK_UNIFORMS // width), 1,
-                    -(-unserved.size // width))
-        self._spare = np.concatenate(
-            [unserved, self._uniform.random(count * width - unserved.size)])
-        u = self._spare.reshape(count, 2, width // 2)
-        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
-        angle = 2.0 * np.pi * u[:, 1]
-        self._rows = np.empty((count, width))
-        self._rows[:, 0::2] = radius * np.cos(angle)
-        self._rows[:, 1::2] = radius * np.sin(angle)
-        self._served = 0
-        self._chunk = min(2 * self._chunk, RNG_CHUNK_UNIFORMS)
 
 
 def c_est(n_t, eps_testfail, lambda_min):
@@ -126,12 +86,10 @@ def c_eff(n_t, eps_testfail, n_o, lambda_min, lambda_max):
 def _draw_images(op, count, rng):
     """Images of `count` independent random draws, applied as one block.
 
-    The columns are drawn one standard_normal call each, so the stream
-    advances exactly as for `count` single applies.
+    The block is one stream draw whose rows are the columns, so the
+    stream advances exactly as for `count` single applies.
     """
-    n_s = op.source.dim
-    block = np.column_stack([rng.standard_normal(n_s) for _ in range(count)])
-    return op.apply_block(block)
+    return op.apply_block(rng.standard_normal((count, op.source.dim)).T)
 
 
 def _block_size(basis, tol, limit, tests, g_tests):
@@ -183,9 +141,9 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
 
     Test vectors are drawn once, reused across iterations, and kept
     orthogonal to the growing basis.  Draws are applied in blocks sized by
-    _block_size, one standard_normal call per column in stream order, and
-    join the basis one column at a time, each followed by a test update
-    and a diagnostics entry.  The rest of a block joins even after the
+    _block_size, each block one stream draw, and join the basis one column
+    at a time in stream order, each followed by a test update and a
+    diagnostics entry.  The rest of a block joins even after the
     estimate is <= tol: the error only falls, so at termination the
     projection error is <= tol with probability at least 1 - eps_algofail.
     Exactly len(basis) + n_t operator evaluations are spent unless draws

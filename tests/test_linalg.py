@@ -164,6 +164,16 @@ def test_range_basis_extend_block_rank_deficient():
     assert _basis_orthonormality(basis) < 1e-12
 
 
+def test_range_basis_extend_block_refuses_a_nonempty_basis():
+    rng = np.random.default_rng(41)
+    basis = RangeBasis(InnerProductSpace.euclidean(10))
+    basis.extend(rng.standard_normal(10))
+    for block in (rng.standard_normal((10, 3)), np.empty((10, 0))):
+        with pytest.raises(ValueError, match="empty basis"):
+            basis.extend_block(block)
+    assert len(basis) == 1
+
+
 @settings(deadline=None, derandomize=True, max_examples=30)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
 def test_range_basis_orthonormal_property(k, seed):

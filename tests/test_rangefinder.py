@@ -5,9 +5,9 @@ import pytest
 
 from locmor.linalg import InnerProductSpace, RangeBasis
 from locmor.problems import build_interface_transfer
-from locmor.rangefinder import (MAX_BLOCK, RNG_CHUNK_UNIFORMS, RngStream,
-                                a_priori_bound, adaptive_randomized_range,
-                                c_eff, c_est, fixed_rank_range, norm_estimate,
+from locmor.rangefinder import (MAX_BLOCK, RngStream, a_priori_bound,
+                                adaptive_randomized_range, c_eff, c_est,
+                                fixed_rank_range, norm_estimate,
                                 projection_error)
 from locmor.rangefinder import test_vector_norms as batch_image_norms
 from locmor.special import erf
@@ -30,35 +30,21 @@ def test_rng_stream_reproducible():
     assert abs(big.std() - 1.0) < 0.03
 
 
-def _per_call_normals(seed, lengths):
-    """Box-Muller one call at a time: per vector, the radii from the
-    next ceil(n/2) uniforms and the angles from the ceil(n/2) after."""
-    uniform = np.random.Generator(np.random.Philox(key=seed))
-    out = []
-    for n in lengths:
-        pairs = (n + 1) // 2
-        u1 = 1.0 - uniform.random(pairs)
-        u2 = uniform.random(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-        z[1::2] = radius * np.sin(2.0 * np.pi * u2)
-        out.append(z[:n])
-    return out
-
-
-def test_rng_stream_chunks_are_bitwise_per_call():
-    # odd lengths, lengths that change while a chunk still holds unserved
-    # vectors, and a vector longer than one chunk of uniforms
-    big = RNG_CHUNK_UNIFORMS + 3
-    lengths = ([7] * 5 + [160] * 40 + [1] + [7] * 3 + [big, 82, big, 0]
-               + [81] * 70 + [2] * 9)
+def test_rng_stream_block_rows_are_successive_draws():
+    # mixed lengths, a zero length, and single draws between the blocks
+    shapes = [(3, 7), (5, 160), (2, 0), (4, 81), (1, 7), (6, 81)]
     for seed in (0, 41, 2**100 + 5):
-        rng = RngStream(seed)
-        got = [rng.standard_normal(n) for n in lengths]
-        assert rng.draws == sum(lengths)
-        ref = _per_call_normals(seed, lengths)
-        assert [z.tobytes() for z in got] == [z.tobytes() for z in ref]
+        blocked, single = RngStream(seed), RngStream(seed)
+        for count, n in shapes:
+            block = blocked.standard_normal((count, n))
+            rows = [single.standard_normal(n) for _ in range(count)]
+            assert block.shape == (count, n)
+            assert [row.tobytes() for row in block] == [
+                row.tobytes() for row in rows]
+            assert (blocked.standard_normal(n).tobytes()
+                    == single.standard_normal(n).tobytes())
+        assert blocked.draws == single.draws == sum(
+            (count + 1) * n for count, n in shapes)
 
 
 def test_c_est_reference_point():
