@@ -2,7 +2,7 @@
 partition-of-unity weights, per-patch reduced spaces built by the
 adaptive rangefinder, and the coupled global Galerkin solve."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -69,9 +69,15 @@ class GfemPatch:
     u_f_coords[-1] u_f_residual up to roundoff, with u_f_residual the
     core-L2 unit residual of u_f against Q, or zero where u_f lies in
     span E.
+
+    problem_pid is the pid of the first patch, in pid order, that posed
+    this patch's local problem (its own pid when it is that patch):
+    patches with one problem_pid share the operator matrix, core and
+    source response, and gfem_run gives them one random local space.
     """
 
     pid: int
+    problem_pid: int
     grid_pos: tuple
     core_box: tuple
     over_box: tuple
@@ -166,8 +172,10 @@ class _LocalProblem:
     index map, shared core, oversampled energy Gram (the unconstrained
     patch stiffness), the dense trace transfer matrix, and the frame
     coordinates and unit residual of the source response (see
-    GfemPatch).  The arrays are read-only, as patches share them."""
+    GfemPatch), and the pid of the patch that first posed it.  The
+    arrays are read-only, as patches share them."""
 
+    pid: int
     range_ids: np.ndarray
     core: _Core
     over_gram: object
@@ -270,12 +278,13 @@ def _source_split(core, u_f):
     return coords, residual
 
 
-def _solve_local_problem(mesh, pde, coefficient, load, core_box, source_ids,
-                         source, touches_dirichlet, cache):
-    """Assemble, factorize and solve one local problem on the trace Γ of
-    its core.  Its core is looked up in cache by the core's cell counts,
-    Γ and interior positions and element coefficients, which fix every
-    core array bitwise, and built there on a miss."""
+def _solve_local_problem(pid, mesh, pde, coefficient, load, core_box,
+                         source_ids, source, touches_dirichlet, cache):
+    """Assemble, factorize and solve one local problem, first posed by
+    patch pid, on the trace Γ of its core.  Its core is looked up in
+    cache by the core's cell counts, Γ and interior positions and element
+    coefficients, which fix every core array bitwise, and built there on
+    a miss."""
     core_elements = mesh.elements_in_box(core_box)
     range_ids = np.unique(mesh.elements[core_elements])
     gamma, inner = _core_trace_split(mesh, range_ids, core_box)
@@ -301,7 +310,7 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box, source_ids,
     u_f_coords, u_f_residual = _source_split(core, u_f)
     for array in (matrix, u_f_coords, u_f_residual):
         array.setflags(write=False)
-    return _LocalProblem(range_ids=range_ids, core=core,
+    return _LocalProblem(pid=pid, range_ids=range_ids, core=core,
                          over_gram=stiffness, matrix=matrix,
                          u_f_coords=u_f_coords, u_f_residual=u_f_residual)
 
@@ -359,13 +368,14 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
     local = cache.get(key)
     if local is None:
         local = cache[key] = _solve_local_problem(
-            mesh, pde, coefficient, load, core_box, source_ids, source,
+            pid, mesh, pde, coefficient, load, core_box, source_ids, source,
             touches_dirichlet, cache)
 
     range_ids = local.range_ids
     u_loc = truth[local_to_global]
     return GfemPatch(
-        pid=pid, grid_pos=grid_pos, core_box=core_box, over_box=over_box,
+        pid=pid, problem_pid=local.pid, grid_pos=grid_pos,
+        core_box=core_box, over_box=over_box,
         mesh=mesh, local_to_global=local_to_global, source_ids=source_ids,
         range_ids=range_ids, source=source, core=local.core,
         touches_dirichlet=touches_dirichlet,
@@ -434,11 +444,19 @@ class LocalReducedSpace:
     rows refer to the columns of the core frame Q, its last row to the
     unit residual of u_f.  combined = Z coords, the basis on the
     range_ids nodes, is lifted on each read; the reduced solve and the
-    local error read only coords."""
+    local error read only coords.
+
+    Patches that pose one local problem share one random_basis and one
+    coords array (see gfem_run); evaluations counts the operator
+    evaluations this space spent, len(random_basis) + n_t (plus any
+    rejected draws) on the patch whose adaptive loop built them and 0 on
+    every patch that reuses them, so their sum over a run is the work
+    done."""
 
     patch: GfemPatch
     random_basis: RangeBasis
     coords: np.ndarray
+    evaluations: int
 
     @property
     def combined(self):
@@ -447,10 +465,6 @@ class LocalReducedSpace:
     @property
     def n_random(self):
         return len(self.random_basis)
-
-    @property
-    def evaluations(self):
-        return self.random_basis.evaluations
 
 
 def local_space(patch, tol, n_t, eps_algofail, rng):
@@ -476,7 +490,8 @@ def local_space(patch, tol, n_t, eps_algofail, rng):
     if not patch.touches_dirichlet:
         coords.extend(core.frame_ones)
     return LocalReducedSpace(patch=patch, random_basis=basis,
-                             coords=coords.matrix)
+                             coords=coords.matrix,
+                             evaluations=basis.evaluations)
 
 
 @dataclass
@@ -671,7 +686,15 @@ def build_gfem_problem(mesh, pde, source_fn):
 def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
     """One seeded GFEM solve at a global tolerance.
 
-    Returns (GfemResult, list[LocalReducedSpace]).
+    The adaptive rangefinder runs once per distinct local problem, on the
+    patch that first posed it (problem_pid), with that patch's stream
+    (seed << 32) + pid and the smallest operator tolerance target /
+    trace_norm among the patches that pose it, so its space meets every
+    one of their tolerances.  Each of those patches gets its own
+    LocalReducedSpace holding the shared random basis and coords; the
+    reusing ones record 0 evaluations.
+
+    Returns (GfemResult, list[LocalReducedSpace]) in patch order.
     """
     # threads=1 is accepted only because the benchmark harness still
     # passes it; the next change to bench/workloads.py removes it
@@ -680,12 +703,22 @@ def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
     patches = problem.patches
     energies = [p.truth_energy for p in patches]
     targets = tolerance_cascade(tol_gfem, energies, problem.c_pou)
-    spaces = []
+    tols = {}
     for patch, target in zip(patches, targets):
-        rng = RngStream((seed << 32) + patch.pid)
-        scale = max(patch.trace_norm, 1e-300)
-        spaces.append(local_space(patch, float(target) / scale, n_t,
-                                  eps_algofail, rng))
+        tol = float(target) / max(patch.trace_norm, 1e-300)
+        tols[patch.problem_pid] = min(tols.get(patch.problem_pid, tol), tol)
+    first_spaces = {}
+    spaces = []
+    for patch in patches:
+        first = first_spaces.get(patch.problem_pid)
+        if first is None:
+            # patches come in pid order, so this patch posed the problem
+            first = first_spaces[patch.pid] = local_space(
+                patch, tols[patch.pid], n_t, eps_algofail,
+                RngStream((seed << 32) + patch.pid))
+            spaces.append(first)
+        else:
+            spaces.append(replace(first, patch=patch, evaluations=0))
     result = assemble_gfem_and_solve(problem, spaces)
     return result, spaces
 

@@ -1,3 +1,4 @@
+import csv
 import types
 import weakref
 
@@ -6,6 +7,7 @@ import pytest
 
 import locmor.gfem
 import locmor.linalg
+from locmor.experiments import ExperimentConfig, run_experiment
 from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
                         centroid_values, constrain_rhs, constrain_system,
                         load_vector)
@@ -439,7 +441,7 @@ def test_gfem_reproduces_fe_with_full_spaces(toy_problem):
     for patch in toy_problem.patches:
         spaces.append(LocalReducedSpace(
             patch=patch, random_basis=RangeBasis(patch.core.range_space),
-            coords=np.eye(patch.core.frame.shape[1] + 1)))
+            coords=np.eye(patch.core.frame.shape[1] + 1), evaluations=0))
     result = assemble_gfem_and_solve(toy_problem, spaces)
     assert result.dropped_columns > 0
     assert result.global_error <= 1e-10
@@ -629,4 +631,91 @@ def test_local_errors_bounded_by_one(toy_problem):
     assert result.local_errors.shape == (81,)
     assert (result.local_errors >= 0.0).all()
     assert (result.local_errors < 1.0).all()
-    assert all(s.evaluations == s.n_random + 8 for s in spaces)
+    # the space that ran the loop spent n + n_t, the ones reusing it none
+    assert all(s.evaluations == (s.n_random + 8 if s.patch.pid
+                                 == s.patch.problem_pid else 0)
+               for s in spaces)
+
+
+@pytest.mark.parametrize("field, distinct", [("uniform", 25),
+                                             ("channels", 55)])
+def test_one_adaptive_loop_per_local_problem(monkeypatch, field, distinct):
+    # patches that pose one local problem share the space that one
+    # adaptive loop builds on the first of them, at the smallest of
+    # their operator tolerances, and only that loop counts evaluations
+    pde, source = gfem_field(field)
+    problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
+    patches = problem.patches
+    run_loop = locmor.gfem.local_space
+    loops = {}
+
+    def counted(patch, tol, *args):
+        loops[patch.pid] = tol
+        return run_loop(patch, tol, *args)
+
+    monkeypatch.setattr(locmor.gfem, "local_space", counted)
+    tol_gfem, n_t, eps, seed = 1e-4, 8, 1e-12, 9
+    result, spaces = gfem_run(problem, tol_gfem, n_t, eps, seed)
+    assert result.global_error <= tol_gfem
+    groups = {}
+    for patch in patches:
+        groups.setdefault(patch.problem_pid, []).append(patch)
+    assert len(groups) == distinct
+    assert list(loops) == sorted(groups)
+
+    targets = tolerance_cascade(tol_gfem, [p.truth_energy for p in patches],
+                                problem.c_pou)
+    op_tols = [float(t) / p.trace_norm for p, t in zip(patches, targets)]
+    spent = 0
+    for pid, members in groups.items():
+        first = patches[pid]
+        assert members[0] is first and first.pid == pid
+        assert loops[pid] == min(op_tols[m.pid] for m in members)
+        ref = run_loop(first, loops[pid], n_t, eps,
+                       RngStream((seed << 32) + pid))
+        space = spaces[pid]
+        assert _same_bits(space.random_basis.matrix, ref.random_basis.matrix)
+        assert _same_bits(space.coords, ref.coords)
+        assert space.evaluations == ref.evaluations
+        spent += space.n_random + n_t
+        assert not space.random_basis.exhausted
+        estimate = space.random_basis.diagnostics[-1]["estimate"]
+        gram = first.source.gram.toarray()
+        for member in members:
+            mine = spaces[member.pid]
+            assert mine.patch is member
+            assert mine.random_basis is space.random_basis
+            assert mine.coords is space.coords
+            assert mine.evaluations == (space.evaluations if member is first
+                                        else 0)
+            assert estimate <= op_tols[member.pid]
+            # the loop ran on the first patch's source Gram; members'
+            # differ from it only in roundoff, and its certified lambda_min,
+            # which c_est divides by, bounds theirs from below
+            other = member.source.gram.toarray()
+            assert np.abs(other - gram).max() <= 1e-13 * np.abs(gram).max()
+            assert first.source.lambda_min <= np.linalg.eigvalsh(other)[0]
+            assert member.operator.matrix is first.operator.matrix
+    assert sum(s.evaluations for s in spaces) == spent
+
+
+def test_gfem_csv_evaluations_add_up(tmp_path):
+    # the patch rows of a run sum to its global operator_evaluations, and
+    # patches that reuse a space read 0
+    cfg = ExperimentConfig("example4-gfem", seed=4, out=str(tmp_path),
+                           params={"n_cells": 20, "tols": [1e-2, 1e-4],
+                                   "runs": 2})
+    global_csv, patch_csv = run_experiment(cfg)
+    totals = {}
+    reused = 0
+    for row in csv.DictReader(patch_csv.open(encoding="utf-8")):
+        run = row["field"], row["tol_gfem"], row["seed"]
+        totals[run] = totals.get(run, 0) + int(row["evaluations"])
+        reused += row["evaluations"] == "0"
+    rows = list(csv.DictReader(global_csv.open(encoding="utf-8")))
+    assert len(rows) == len(totals) == 8
+    for row in rows:
+        run = row["field"], row["tol_gfem"], row["seed"]
+        assert int(row["operator_evaluations"]) == totals[run]
+    # 56 and 26 patches per run reuse a space on uniform and channels
+    assert reused == 4 * (56 + 26)
