@@ -62,18 +62,6 @@ EXPERIMENT_DEFAULTS = {
 
 EXPERIMENT_IDS = sorted(EXPERIMENT_DEFAULTS)
 
-# integer parameters (lists: each entry) and their minimum
-INTEGER_PARAMS = {"runs": 1, "n_t": 1, "h_inv": 1, "n_cells": 1, "n": 1,
-                  "sigma_count": 1, "h_invs": 1, "n_t_values": 1,
-                  "n_values": 0}
-# real parameters (lists: each entry) and the open interval they lie in
-REAL_PARAMS = {"tol": (0.0, math.inf), "tols": (0.0, math.inf),
-               "kappas": (-math.inf, math.inf), "eps_algofail": (0.0, 1.0),
-               "eps_testfail": (0.0, 1.0), "length": (0.0, math.inf),
-               "width": (0.0, math.inf)}
-# name parameters (lists: each entry) and the names they may take
-CHOICE_PARAMS = {"fields": ("uniform", "channels")}
-
 
 def _check_integer(name, value, minimum):
     """Return int(value); raise ValueError unless value is an integer
@@ -105,6 +93,22 @@ def _check_choice(name, value, choices):
         raise ValueError(
             f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
+
+
+# the rule of every parameter (lists: each entry): integers and their
+# minimum, reals and the open interval they lie in, names and the names
+# they may take
+PARAM_RULES = {
+    **dict.fromkeys(("runs", "n_t", "h_inv", "n_cells", "n", "sigma_count",
+                     "h_invs", "n_t_values"), (_check_integer, 1)),
+    "n_values": (_check_integer, 0),
+    **dict.fromkeys(("tol", "tols", "length", "width"),
+                    (_check_real, 0.0, math.inf)),
+    **dict.fromkeys(("eps_algofail", "eps_testfail"),
+                    (_check_real, 0.0, 1.0)),
+    "kappas": (_check_real, -math.inf, math.inf),
+    "fields": (_check_choice, ("uniform", "channels")),
+}
 
 
 def _check_on_grid(merged):
@@ -185,15 +189,9 @@ class ExperimentConfig:
         if self.runs is not None:
             merged["runs"] = self.runs
         for key, value in merged.items():
-            if key in INTEGER_PARAMS:
-                merged[key] = _check_param(key, value, defaults[key],
-                                           _check_integer, INTEGER_PARAMS[key])
-            elif key in REAL_PARAMS:
-                merged[key] = _check_param(key, value, defaults[key],
-                                           _check_real, *REAL_PARAMS[key])
-            elif key in CHOICE_PARAMS:
-                merged[key] = _check_param(key, value, defaults[key],
-                                           _check_choice, CHOICE_PARAMS[key])
+            # every default has a rule: a missing one raises KeyError
+            merged[key] = _check_param(key, value, defaults[key],
+                                       *PARAM_RULES[key])
         _check_on_grid(merged)
         if "n" in merged:
             # c_eff needs the remainder rank width * h_inv + 1 - n >= 1

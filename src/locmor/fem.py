@@ -12,13 +12,6 @@ GAMMA_OUT = 1
 SIGMA_N = 2
 SIGMA_D = 3
 
-_TAG_NAMES = {
-    "interior": INTERIOR,
-    "gamma_out": GAMMA_OUT,
-    "sigma_N": SIGMA_N,
-    "sigma_D": SIGMA_D,
-}
-
 GEOM_TOL = 1e-9
 
 
@@ -72,9 +65,12 @@ class RectMesh:
     kind 'q1': bilinear quads on the corner lattice.
     kind 'p1x': each square split into four linear triangles through an
     added center node (corner nodes first, then center nodes).
+    Nodes sit at lattice index times h, so a mesh on a sub-box has
+    bitwise the positions of its parent's nodes.  coords and node_tags
+    are read-only; build_rect_mesh describes tag_fn.
     """
 
-    def __init__(self, bounds, h, kind, node_tags):
+    def __init__(self, bounds, h, kind, tag_fn=None):
         self.bounds = tuple(float(b) for b in bounds)
         self.h = float(h)
         self.kind = kind
@@ -85,18 +81,28 @@ class RectMesh:
         self.n_center = self.nx * self.ny if kind == "p1x" else 0
         self.n_nodes = self.n_corner + self.n_center
 
-        xs = x0 + h * np.arange(self.nx + 1)
-        ys = y0 + h * np.arange(self.ny + 1)
-        gx, gy = np.meshgrid(xs, ys)
+        i = round(x0 / h) + np.arange(self.nx + 1)
+        j = round(y0 / h) + np.arange(self.ny + 1)
+        gx, gy = np.meshgrid(i * h, j * h)
         coords = np.column_stack([gx.ravel(), gy.ravel()])
         if kind == "p1x":
-            cx = x0 + h * (np.arange(self.nx) + 0.5)
-            cy = y0 + h * (np.arange(self.ny) + 0.5)
-            gcx, gcy = np.meshgrid(cx, cy)
+            gcx, gcy = np.meshgrid((i[:-1] + 0.5) * h, (j[:-1] + 0.5) * h)
             coords = np.vstack(
                 [coords, np.column_stack([gcx.ravel(), gcy.ravel()])])
+        x, y = coords.T
+        boundary = on_box_edge(x, y, self.bounds)
+        codes = (SIGMA_N if tag_fn is None
+                 else tag_fn(x[boundary], y[boundary]))
+        if not np.isin(codes, (GAMMA_OUT, SIGMA_N, SIGMA_D)).all():
+            raise ValueError("tag_fn must return GAMMA_OUT, SIGMA_N or "
+                             "SIGMA_D codes")
+        tags = np.full(self.n_nodes, INTERIOR, dtype=np.int8)
+        tags[boundary] = codes
+        for array in (coords, tags):
+            array.setflags(write=False)
         self.coords = coords
-        self.node_tags = node_tags
+        self.node_tags = tags
+        self._centroids = None
 
         ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
         ii = ii.ravel()
@@ -119,17 +125,6 @@ class RectMesh:
             self.tris = None
 
     @property
-    def coords(self):
-        return self._coords
-
-    @coords.setter
-    def coords(self, value):
-        # read-only, so the centroids derived from it cannot go stale
-        value.setflags(write=False)
-        self._coords = value
-        self._centroids = None
-
-    @property
     def elements(self):
         return self.tris if self.kind == "p1x" else self.quads
 
@@ -138,8 +133,7 @@ class RectMesh:
         return self.h ** 2 / 4.0 if self.kind == "p1x" else self.h ** 2
 
     def element_centroids(self):
-        """Read-only element centroids, computed once per coordinate
-        array."""
+        """Read-only element centroids, computed once."""
         if self._centroids is None:
             self._centroids = self.coords[self.elements].mean(axis=1)
             self._centroids.setflags(write=False)
@@ -179,11 +173,11 @@ def on_box_edge(x, y, box):
 
 
 def build_rect_mesh(bounds, h, kind="q1", tag_fn=None):
-    """Build a RectMesh and tag its boundary nodes.
+    """Build a RectMesh whose corners lie on the lattice of spacing h.
 
-    tag_fn(x, y) -> tag name ('gamma_out', 'sigma_N' or 'sigma_D') is
-    called once per boundary node; without it every boundary node is
-    sigma_N.
+    tag_fn(x, y) takes the coordinate arrays of the boundary nodes and
+    returns their tag codes (GAMMA_OUT, SIGMA_N or SIGMA_D; one code
+    tags them all); without it every boundary node is SIGMA_N.
     """
     if kind not in ("q1", "p1x"):
         raise ValueError(f"unknown mesh kind {kind!r}")
@@ -191,23 +185,12 @@ def build_rect_mesh(bounds, h, kind="q1", tag_fn=None):
     if not (x1 > x0 and y1 > y0):
         raise ValueError("empty rectangle")
     h = float(h)
-    for length in (x1 - x0, y1 - y0):
-        ratio = length / h
+    for corner in (x0, x1, y0, y1):
+        ratio = corner / h
         if abs(ratio - round(ratio)) > 1e-6:
             raise ValueError(
-                f"side length {length} is not an integer multiple of h = {h}")
-
-    mesh = RectMesh(bounds, h, kind, node_tags=None)
-    cx = mesh.coords[:, 0]
-    cy = mesh.coords[:, 1]
-    on_boundary = on_box_edge(cx, cy, mesh.bounds)
-    tags = np.full(mesh.n_nodes, INTERIOR, dtype=np.int8)
-    tags[on_boundary] = SIGMA_N
-    if tag_fn is not None:
-        for nid in np.nonzero(on_boundary)[0]:
-            tags[nid] = _TAG_NAMES[tag_fn(cx[nid], cy[nid])]
-    mesh.node_tags = tags
-    return mesh
+                f"corner coordinate {corner} is off the lattice of h = {h}")
+    return RectMesh(bounds, h, kind, tag_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem, linalg
-from .fem import (GAMMA_OUT, GEOM_TOL, SIGMA_D, SIGMA_N, build_rect_mesh,
+from .fem import (GAMMA_OUT, GEOM_TOL, SIGMA_D, build_rect_mesh,
                   centroid_values, on_box_edge, path_l2_gram)
 from .linalg import InnerProductSpace, RangeBasis, factorize
 from .rangefinder import RngStream, adaptive_randomized_range
@@ -24,8 +24,12 @@ OVERLAP = 0.1
 POU_TOL = 1e-12
 # reduced solve: per-patch energy eigenvalues below REDUCED_RTOL times
 # the patch's largest are dropped, and REDUCED_RTOL is the diagonal shift
-# that makes the overlapping unit-energy patch spaces definite
+# that makes the overlapping unit-energy patch spaces definite; where the
+# banded Cholesky still fails, the shift grows tenfold up to SHIFT_RETRIES
+# times (Cholesky with an added multiple of the identity, Nocedal &
+# Wright, Numerical Optimization, Alg. 3.3)
 REDUCED_RTOL = 1e-13
+SHIFT_RETRIES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,22 +335,19 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
                 max(gy0, cy0 - OVERLAP), min(gy1, cy1 + OVERLAP))
     pid = grid_pos[1] * grid_shape[0] + grid_pos[0]
 
-    mesh = build_rect_mesh(over_box, global_mesh.h, global_mesh.kind)
+    # the box boundary is clamped on the global boundary and free
+    # (gamma_out) elsewhere; the lattice gives the patch bitwise the
+    # global node positions
+    mesh = build_rect_mesh(
+        over_box, global_mesh.h, global_mesh.kind,
+        lambda x, y: np.where(on_box_edge(x, y, global_mesh.bounds),
+                              SIGMA_D, GAMMA_OUT))
     # both meshes number nodes (corners, then centres) and elements in
     # lattice order, so sorted global ids follow the local numbering
     elements = global_mesh.elements_in_box(over_box)
     in_patch = np.zeros(global_mesh.n_nodes, dtype=bool)
     in_patch[global_mesh.elements[elements]] = True
     local_to_global = np.flatnonzero(in_patch)
-    # one position per node for all patches: the weights, trace Grams
-    # and core-edge tests read the global lattice floats
-    mesh.coords = global_mesh.coords[local_to_global]
-    # the box boundary, tagged sigma_N, is clamped on the global boundary
-    # and free (gamma_out) elsewhere
-    boundary = np.flatnonzero(mesh.node_tags == SIGMA_N)
-    x, y = mesh.coords[boundary].T
-    mesh.node_tags[boundary] = np.where(
-        on_box_edge(x, y, global_mesh.bounds), SIGMA_D, GAMMA_OUT)
 
     # trace space on the non-global part of the local boundary; the
     # closed-loop Gram restricted to the free nodes accounts for the
@@ -768,8 +769,10 @@ def assemble_gfem_and_solve(problem, spaces):
     K_ij = c~_i^T P_ij c~_j over the precomputed neighbour pairs are
     written straight into banded storage, shifted by REDUCED_RTOL on the
     diagonal, since neighbouring patch spaces overlap, and solved by
-    banded Cholesky against the rhs c~_i^T f_i.  Each patch's share of
-    the nodal solution is one lift W Z x of its frame coefficients x.
+    banded Cholesky against the rhs c~_i^T f_i; a failed factorization
+    is retried with the shift raised tenfold in place (SHIFT_RETRIES).
+    Each patch's share of the nodal solution is one lift W Z x of its
+    frame coefficients x.
     """
     mesh = problem.mesh
     coupling = problem.coupling
@@ -799,7 +802,16 @@ def assemble_gfem_and_solve(problem, spaces):
     band[bandwidth] += REDUCED_RTOL
 
     rhs = np.concatenate([c.T @ f for c, f in zip(scaled, coupling.loads)])
-    coeff = scipy.linalg.solveh_banded(band, rhs)
+    for retry in range(SHIFT_RETRIES + 1):
+        try:
+            coeff = scipy.linalg.solveh_banded(band, rhs)
+            break
+        except np.linalg.LinAlgError:
+            if retry == SHIFT_RETRIES:
+                raise
+            # solveh_banded leaves band intact: shift to 10**(retry + 1)
+            # times REDUCED_RTOL in place
+            band[bandwidth] += 9.0 * REDUCED_RTOL * 10.0 ** retry
 
     u_gfem = np.zeros(mesh.n_nodes)
     for i, (space, c, lo, hi) in enumerate(zip(spaces, scaled, offsets[:-1],

@@ -5,8 +5,9 @@ GFEM experiments run on."""
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (PdeSpec, assemble_interface_l2, assemble_system,
-                  box_indicator, build_rect_mesh, constrain_system)
+from .fem import (GAMMA_OUT, GEOM_TOL, SIGMA_D, SIGMA_N, PdeSpec,
+                  assemble_interface_l2, assemble_system, box_indicator,
+                  build_rect_mesh, constrain_system)
 from .linalg import InnerProductSpace, factorize
 from .transfer import TransferOperator
 
@@ -18,13 +19,10 @@ def build_interface_transfer(h_inv, length=1.0, width=1.0, kappa=0.0):
     read on the mid line x = 0; the long sides carry natural boundary
     conditions.  Traces are measured in the L2 products of their lines.
     """
-    h = 1.0 / h_inv
-
-    def tag(x, y):
-        far = abs(x + length) <= 1e-9 or abs(x - length) <= 1e-9
-        return "gamma_out" if far else "sigma_N"
-
-    mesh = build_rect_mesh((-length, length, 0.0, width), h, "q1", tag)
+    mesh = build_rect_mesh(
+        (-length, length, 0.0, width), 1.0 / h_inv, "q1",
+        lambda x, y: np.where(np.abs(np.abs(x) - length) <= GEOM_TOL,
+                              GAMMA_OUT, SIGMA_N))
     if kappa == 0.0:
         pde = PdeSpec("laplace")
     else:
@@ -80,4 +78,4 @@ def gfem_field(name):
 def build_gfem_mesh(n_cells):
     """Crisscross mesh on the unit square, clamped on the whole boundary."""
     return build_rect_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / n_cells, "p1x",
-                           lambda x, y: "sigma_D")
+                           lambda x, y: SIGMA_D)

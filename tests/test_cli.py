@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import locmor
 from locmor.cli import main
 from locmor.experiments import (EXPERIMENT_DEFAULTS, EXPERIMENT_IDS,
-                                ExperimentConfig, default_config,
-                                format_value, nearest_rank, summary_stats)
+                                PARAM_RULES, ExperimentConfig,
+                                default_config, format_value, nearest_rank,
+                                summary_stats)
 from locmor.rangefinder import RngStream
 
 SMALL_FIXED = {
@@ -221,6 +222,12 @@ def test_config_rejects_bad_list_and_real_params():
     assert cfg.params["kappas"] == [-1.0, 0, 12.5]
 
 
+def test_every_default_parameter_has_one_rule():
+    # no parameter passes unchecked, and no rule is left without one
+    names = set().union(*EXPERIMENT_DEFAULTS.values())
+    assert names == set(PARAM_RULES)
+
+
 def test_config_seed_range_keeps_stream_keys_below_2_128():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig("example1-fixed", seed=-1)
@@ -256,12 +263,9 @@ def _entry_point_command():
             f"sys.exit({function}())"]
 
 
-def test_console_script_and_error_exit_codes(tmp_path):
-    command = _entry_point_command()
-    done = subprocess.run(command + ["list"], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == EXPERIMENT_IDS
-
+def _rejected_run_args(tmp_path, out):
+    """The `run` arguments of every config the CLI must reject before it
+    writes anything into out."""
     bad = dict(SMALL_FIXED)
     bad["schema_version"] = 99
     good = _write_config(tmp_path, SMALL_FIXED)
@@ -307,7 +311,6 @@ def test_console_script_and_error_exit_codes(tmp_path):
     helmholtz = _write_config(
         tmp_path, {**SMALL_FIXED, "experiment": "example2-helmholtz",
                    "params": {}}, "helmholtz.json")
-    out = tmp_path / "out"
     cases = [[*args, "--out", str(out)] for args in (
         ["--config", _write_config(tmp_path, bad, "bad.json")],
         *(["--config", _write_config(tmp_path, cfg, f"inv{i}.json")]
@@ -321,17 +324,42 @@ def test_console_script_and_error_exit_codes(tmp_path):
     # a malformed out key, with no --out to override it
     cases.append(["--config", _write_config(
         tmp_path, {**SMALL_FIXED, "out": 3}, "out.json")])
-    for args in cases:
-        done = subprocess.run(command + ["run", *args],
-                              capture_output=True, text=True)
-        assert done.returncode == 2, (args, done.stderr)
-        assert "Traceback" not in done.stderr
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("locmor: error: "), \
-            (args, done.stderr)
-        assert not out.exists()
+    return cases
+
+
+def _assert_rejected(returncode, stderr, out, args):
+    """Exit 2, exactly one `locmor: error: ` line and no traceback on
+    stderr, and no output directory."""
+    assert returncode == 2, (args, stderr)
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("locmor: error: "), \
+        (args, stderr)
+    assert not out.exists()
+
+
+def test_rejected_configs_exit_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    for args in _rejected_run_args(tmp_path, out):
+        returncode = main(["run", *args])
+        _assert_rejected(returncode, capsys.readouterr().err, out, args)
+
+
+def test_console_script_and_error_exit_codes(tmp_path):
+    # the entry-point wiring: a listing, one rejected config (the rest
+    # of the table runs in-process above) and an unknown flag
+    command = _entry_point_command()
+    done = subprocess.run(command + ["list"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == EXPERIMENT_IDS
+
+    out = tmp_path / "out"
+    args = ["run", *_rejected_run_args(tmp_path, out)[0]]
+    done = subprocess.run(command + args, capture_output=True, text=True)
+    _assert_rejected(done.returncode, done.stderr, out, args)
 
     # an unknown flag gets argparse's usage line and one error line
+    good = _write_config(tmp_path, SMALL_FIXED)
     done = subprocess.run(command + ["run", "--config", good, "--threads",
                                      "2", "--out", str(out)],
                           capture_output=True, text=True)

@@ -31,6 +31,9 @@ def test_mesh_rejects_bad_geometry():
         build_rect_mesh((0, 0, 0, 1), 0.1)
     with pytest.raises(ValueError):
         build_rect_mesh((0, 1, 0, 1), 0.25, kind="hexes")
+    # whole sides of h, but a corner off the h lattice
+    with pytest.raises(ValueError, match="off the lattice"):
+        build_rect_mesh((0.05, 1.05, 0, 1), 0.1)
 
 
 def test_boundary_tag_precedence():
@@ -38,14 +41,14 @@ def test_boundary_tag_precedence():
 
     def tag(x, y):
         # the tag function decides corners: left wins over bottom here
-        calls.append((x, y))
-        if x == 0.0:
-            return "gamma_out"
-        return "sigma_D" if y == 0.0 else "sigma_N"
+        calls.append(list(zip(x, y)))
+        return np.where(x == 0.0, GAMMA_OUT,
+                        np.where(y == 0.0, SIGMA_D, SIGMA_N))
 
     mesh = build_rect_mesh((0, 1, 0, 1), 0.5, tag_fn=tag)
-    # called once per boundary node, never on the interior one
-    assert len(calls) == 8 and (0.5, 0.5) not in calls
+    # called once on the boundary nodes, never on the interior one
+    assert len(calls) == 1
+    assert len(calls[0]) == 8 and (0.5, 0.5) not in calls[0]
     # q1 nodes are the corner lattice, row j holds y = j * h
     tags = mesh.node_tags.reshape(mesh.ny + 1, mesh.nx + 1)
     assert tags[0, 0] == GAMMA_OUT
@@ -59,6 +62,24 @@ def test_boundary_tag_precedence():
     # without a tag function every boundary node is natural
     plain = build_rect_mesh((0, 1, 0, 1), 0.5).node_tags
     assert (plain == SIGMA_N).sum() == 8 and plain[4] == 0
+
+
+def test_mesh_is_read_only_and_rejects_unknown_tags():
+    mesh = build_rect_mesh((0, 1, 0, 1), 0.5, kind="p1x")
+    for array in (mesh.coords, mesh.node_tags):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(ValueError, match="tag_fn must return"):
+        build_rect_mesh((0, 1, 0, 1), 0.5, tag_fn=lambda x, y: 0 * x)
+
+
+def test_mesh_on_a_sub_box_has_its_parents_positions():
+    # nodes sit at lattice index times h, so a sub-box mesh repeats its
+    # parent's floats bitwise, whatever the sub-box corner
+    parent = build_rect_mesh((-1.0, 1.0, 0.0, 1.0), 0.1, kind="p1x")
+    sub = build_rect_mesh((-0.3, 0.7, 0.2, 0.9), 0.1, kind="p1x")
+    known = {tuple(xy) for xy in parent.coords}
+    assert all(tuple(xy) in known for xy in sub.coords)
 
 
 def test_nodes_on_line_sorted():
@@ -132,7 +153,7 @@ def test_linear_fields_are_exact():
     # zero source away from the Neumann boundary terms
     for kind in ("q1", "p1x"):
         mesh = build_rect_mesh((0, 1, 0, 1), 0.125, kind=kind,
-                               tag_fn=lambda x, y: "sigma_D")
+                               tag_fn=lambda x, y: SIGMA_D)
         u = mesh.coords[:, 0].copy()
         a = assemble_system(mesh, PdeSpec())
         res = a @ u
@@ -170,7 +191,7 @@ def _filtered_triplets(mesh, pde):
 
 
 def _channel(x, y):
-    return "gamma_out" if abs(abs(x) - 1.0) <= 1e-9 else "sigma_N"
+    return np.where(np.abs(np.abs(x) - 1.0) <= 1e-9, GAMMA_OUT, SIGMA_N)
 
 
 @pytest.mark.parametrize("kind, pde", [
@@ -196,7 +217,7 @@ def test_manufactured_solution_convergence():
     hs = [1 / 8, 1 / 16, 1 / 32]
     for h in hs:
         mesh = build_rect_mesh((0, 1, 0, 1), h, kind="p1x",
-                               tag_fn=lambda x, y: "sigma_D")
+                               tag_fn=lambda x, y: SIGMA_D)
         a = constrain_system(mesh, assemble_system(mesh, PdeSpec()))
         f = lambda x, y: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
         b = constrain_rhs(mesh, load_vector(mesh, f))

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from locmor.linalg import (InnerProductSpace, NearSingularError, RangeBasis,
                            factorize, gram_extremal_eigenvalues)
-from locmor.fem import (PdeSpec, assemble_system, build_rect_mesh,
-                        constrain_system)
+from locmor.fem import (GAMMA_OUT, SIGMA_N, PdeSpec, assemble_system,
+                        build_rect_mesh, constrain_system)
 from locmor.problems import build_interface_transfer
 from conftest import random_spd
 
@@ -27,7 +27,7 @@ def test_factorize_solves_and_rejects_singular():
 
 
 def _channel(x, y):
-    return "gamma_out" if abs(abs(x) - 1.0) <= 1e-9 else "sigma_N"
+    return np.where(np.abs(np.abs(x) - 1.0) <= 1e-9, GAMMA_OUT, SIGMA_N)
 
 
 def test_factorization_fill_below_colamd():
