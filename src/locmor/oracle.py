@@ -8,7 +8,9 @@ possible error of any n-dimensional approximation space.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import solve_triangular
+
+from .transfer import DenseOperator
 
 
 @dataclass
@@ -26,15 +28,29 @@ class SpectralData:
         return float(self.sigmas[i - 1])
 
 
-def weighted_svd(op):
-    """Spectrum via the congruence-transformed plain SVD.
+def dense_matrix(op):
+    """op.matrix, or a one-line error if op is not a DenseOperator."""
+    if not isinstance(op, DenseOperator):
+        raise ValueError("needs a DenseOperator: assemble_dense() gives one")
+    return op.matrix
 
-    The source Gram must be definite (Cholesky); the range Gram may be
-    semidefinite, in which case its eigenvalue square root is used.
-    """
-    l_s = op.source.cholesky()
-    # sigma( F_R^T T L_S^{-T} ), from the full SVD: a values-only one
-    # takes another LAPACK path and differs in the last bits
-    y = op.range_space.factor().T @ op.matrix
-    z = scipy.linalg.solve_triangular(l_s, y.T, lower=True).T
+
+def _whitened(op):
+    """z = F_R^T T L_S^{-T}, whose plain singular values are T's weighted
+    ones: L_S needs a definite source Gram, F_R may be semidefinite."""
+    matrix = dense_matrix(op)
+    y = op.range_space.factor().T @ matrix
+    return solve_triangular(op.source.cholesky(), y.T, lower=True).T
+
+
+def weighted_svd(op):
+    """Spectrum from the full SVD of z; values-only differs in last bits."""
+    z = _whitened(op)
     return SpectralData(sigmas=np.linalg.svd(z, full_matrices=False)[1])
+
+
+def weighted_norm(op):
+    """sigma_1 alone, from the top eigenvalue of the smaller Gram of z."""
+    z = _whitened(op)
+    gram = z @ z.T if z.shape[0] <= z.shape[1] else z.T @ z
+    return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .linalg import RangeBasis, gram_norms
-from .oracle import weighted_svd
+from .oracle import dense_matrix, weighted_norm
 from .special import erf_inv, gamma_q_inv
 from .transfer import DenseOperator
 
@@ -227,12 +227,11 @@ def fixed_rank_range(op, n, rng):
 
 def projection_error(op, basis):
     """Exact residual norm ||T - P T|| of a dense operator."""
-    matrix = op.matrix
+    matrix = dense_matrix(op)
     b = basis.matrix
     if b.shape[1]:
         matrix = matrix - b @ (b.T @ (op.range_space.apply_gram(matrix)))
-    residual = DenseOperator(matrix, op.source, op.range_space)
-    return weighted_svd(residual).sigma(1)
+    return weighted_norm(DenseOperator(matrix, op.source, op.range_space))
 
 
 def a_priori_bound(sigmas, n, lambda_s_min, lambda_s_max, lambda_r_min,

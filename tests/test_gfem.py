@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import locmor.gfem
 import locmor.linalg
@@ -483,16 +484,29 @@ def test_banded_assembly_matches_dense_reference(desk_uniform):
     result, spaces = gfem_run(problem, 1e-2, 8, 1e-12, seed=11)
     assert result.dropped_columns == 0
 
-    ncols = sum(s.combined.shape[1] for s in spaces)
-    phi = np.zeros((mesh.n_nodes, ncols))
+    # phi is sparse: each column lives on one patch's range nodes and is
+    # zero on the constrained ones
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[mesh.constrained_nodes] = False
+    blocks, rows, cols = [], [], []
     ofs = 0
     for s in spaces:
         gids = s.patch.local_to_global[s.patch.range_ids]
-        w = s.patch.pou_weights[:, None] * s.combined
-        phi[gids, ofs:ofs + w.shape[1]] += w
+        w = (free[gids] * s.patch.pou_weights)[:, None] * s.combined
+        blocks.append((gids, slice(ofs, ofs + w.shape[1]), w))
+        rows.append(np.repeat(gids, w.shape[1]))
+        cols.append(np.tile(np.arange(ofs, ofs + w.shape[1]), gids.size))
         ofs += w.shape[1]
-    phi[mesh.constrained_nodes, :] = 0.0
-    k = phi.T @ (problem.stiffness_raw @ phi)
+    vals = np.concatenate([w.ravel() for _, _, w in blocks])
+    phi = scipy.sparse.csr_array(
+        (vals, (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_nodes, ofs))
+    # phi^T A phi by one patch's rows at a time: a sparse product spends
+    # most of its time building the 1.7M-entry result
+    a_phi = (problem.stiffness_raw @ phi).tocsr()
+    k = np.empty((ofs, ofs))
+    for gids, span, w in blocks:
+        k[span] = (a_phi[gids].T @ w).T
     rhs = phi.T @ problem.load
     coeff = np.linalg.solve(k, rhs)
     u_ref = phi @ coeff

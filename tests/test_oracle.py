@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from locmor.linalg import InnerProductSpace, RangeBasis
-from locmor.oracle import weighted_svd
+from locmor.oracle import weighted_norm, weighted_svd
 from locmor.problems import build_interface_transfer
-from locmor.rangefinder import projection_error
+from locmor.rangefinder import RngStream, fixed_rank_range, projection_error
 from locmor.transfer import DenseOperator
 from conftest import random_spd
 from oracles import analytic_interface_sigma, transfer_eigenproblem
@@ -152,3 +152,80 @@ def test_operator_norm_and_rows():
     assert data.sigmas[:2] == pytest.approx([4.0, 2.0])
     assert transfer_eigenproblem(op).eigenvalues[:2] == \
         pytest.approx([16.0, 4.0])
+
+
+def _residual(dense, basis):
+    """T - P_B T as a DenseOperator, formed as projection_error forms it."""
+    b = basis.matrix
+    matrix = dense.matrix - b @ (b.T @ dense.range_space.apply_gram(
+        dense.matrix))
+    return DenseOperator(matrix, dense.source, dense.range_space)
+
+
+def _assert_sigma1_agrees(op):
+    """weighted_norm against the full SVD's sigma_1; returns the latter."""
+    ref = weighted_svd(op).sigma(1)
+    assert abs(weighted_norm(op) - ref) <= 1e-13 * ref
+    return ref
+
+
+def test_projection_error_is_sigma1_of_the_residual(interface40):
+    # z is 41 x 82 here: the Gram is taken on the row side
+    dense = interface40.dense
+    for n in range(13):
+        basis = fixed_rank_range(dense, n, RngStream(100 + n))
+        ref = _assert_sigma1_agrees(_residual(dense, basis))
+        assert abs(projection_error(dense, basis) - ref) <= 1e-13 * ref
+
+
+def test_weighted_norm_of_a_tall_operator():
+    # more range rows than source columns: the Gram on the column side
+    rng = np.random.default_rng(137)
+    for m, k in ((9, 4), (12, 1), (6, 5)):
+        op = DenseOperator(rng.standard_normal((m, k)),
+                           InnerProductSpace(random_spd(rng, k)),
+                           InnerProductSpace(random_spd(rng, m)))
+        _assert_sigma1_agrees(op)
+
+
+def test_weighted_norm_of_gfem_patch_operators(desk_uniform):
+    # semidefinite trace spaces: the range factor comes from eigh
+    patches = desk_uniform.patches
+    assert not any(p.operator.range_space.definite for p in patches)
+    for patch in patches[::10]:
+        _assert_sigma1_agrees(patch.operator)
+
+
+def test_projection_error_on_the_full_and_the_empty_basis(interface40):
+    dense, sigma1 = interface40.dense, interface40.data.sigma(1)
+    full = RangeBasis(dense.range_space)
+    full.extend_block(np.eye(dense.range_space.dim))
+    # the residual is roundoff, and the Gram route still reads it
+    assert projection_error(dense, full) <= 1e-10 * sigma1
+    _assert_sigma1_agrees(_residual(dense, full))
+    empty = RangeBasis(dense.range_space)
+    assert abs(projection_error(dense, empty) - sigma1) <= 1e-13 * sigma1
+
+
+def test_projection_error_makes_no_svd(interface40, monkeypatch):
+    dense = interface40.dense
+    basis = fixed_rank_range(dense, 5, RngStream(7))
+    before = projection_error(dense, basis)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("projection_error called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert projection_error(dense, basis) == before
+
+
+@pytest.mark.parametrize("call", [
+    lambda op: weighted_svd(op),
+    lambda op: projection_error(op, RangeBasis(op.range_space)),
+], ids=["weighted_svd", "projection_error"])
+def test_oracle_rejects_a_matrix_free_operator_in_one_line(call, interface40):
+    with pytest.raises(ValueError) as info:
+        call(interface40.op)
+    message = str(info.value)
+    assert "DenseOperator" in message and "assemble_dense()" in message
+    assert "\n" not in message
