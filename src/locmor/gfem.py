@@ -55,49 +55,57 @@ class _Core:
 
 
 @dataclass(frozen=True, eq=False)
-class GfemPatch:
-    """One overlapping patch, complete once built: core and oversampled
-    boxes, local mesh and index maps, trace source space, the shared
-    core data, partition-of-unity weights, the dense transfer operator,
-    the source response in frame coordinates, and the patch's share of
-    the reference solution.
+class _LocalProblem:
+    """The part of a patch that does not depend on where it sits, built
+    once for the first patch, in pid order, that poses it and shared by
+    every patch that poses the same: source and range index maps, the
+    shared core, whether the core touches the clamped boundary, the dense
+    transfer operator, and the source response in frame coordinates.
 
     Every transfer image is discrete-harmonic inside the core, so the
-    operator maps onto its trace on Γ, the free nodes of the core-box
-    boundary, normed by the Schur complement of the core energy Gram;
-    core.extension lifts a trace to the range_ids nodes (harmonic inside,
-    zero at clamped nodes) without changing its energy norm.  core
-    holds what the core alone fixes, shared by every patch on an equal
-    core (see _Core); u_f_coords and u_f_residual are what the source
-    response u_f adds to the core frame Q: u_f = Q u_f_coords[:-1] +
-    u_f_coords[-1] u_f_residual up to roundoff, with u_f_residual the
+    operator maps the first patch's trace space onto the trace on Γ, the
+    free nodes of the core-box boundary, normed by the Schur complement
+    of the core energy Gram; core.extension lifts a trace to the
+    range_ids nodes (harmonic inside, zero at clamped nodes) without
+    changing its energy norm.  u_f_coords and u_f_residual are what the
+    source response u_f adds to the core frame Q: u_f = Q u_f_coords[:-1]
+    + u_f_coords[-1] u_f_residual up to roundoff, with u_f_residual the
     core-L2 unit residual of u_f against Q, or zero where u_f lies in
-    span E.
+    span E.  The arrays are read-only."""
 
-    problem_pid is the pid of the first patch, in pid order, that posed
-    this patch's local problem (its own pid when it is that patch):
-    patches with one problem_pid share the operator matrix, core and
-    source response, and gfem_run gives them one random local space.
-    """
+    source_ids: np.ndarray
+    range_ids: np.ndarray
+    core: _Core
+    touches_dirichlet: bool
+    operator: DenseOperator
+    u_f_coords: np.ndarray
+    u_f_residual: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class GfemPatch:
+    """One overlapping patch: core and oversampled boxes, local mesh and
+    its node map into the global mesh, partition-of-unity weights on the
+    range_ids nodes, the reference solution's energy on the oversampled
+    patch and its norm in the patch's own trace space, and the local
+    problem the patch poses."""
 
     pid: int
-    problem_pid: int
     grid_pos: tuple
     core_box: tuple
     over_box: tuple
     mesh: object
     local_to_global: np.ndarray
-    source_ids: np.ndarray
-    range_ids: np.ndarray
-    source: InnerProductSpace
-    core: _Core
-    touches_dirichlet: bool
     pou_weights: np.ndarray
-    operator: DenseOperator
-    u_f_coords: np.ndarray
-    u_f_residual: np.ndarray
     truth_energy: float
     trace_norm: float
+    problem: _LocalProblem
+
+    @property
+    def source(self):
+        """The trace space the shared operator maps from (bench/workloads.py
+        reads it)."""
+        return self.problem.operator.source
 
 
 def _hat_profile(x, lo, hi, ramp, is_first, is_last):
@@ -168,24 +176,6 @@ def build_patches(global_mesh, pde, source_fn, truth):
                                         truth, core_box, (ix, jy),
                                         (n_steps, m_steps), cache))
     return patches
-
-
-@dataclass(frozen=True, eq=False)
-class _LocalProblem:
-    """The part of a patch that does not depend on where it sits: range
-    index map, shared core, oversampled energy Gram (the unconstrained
-    patch stiffness), the dense trace transfer matrix, and the frame
-    coordinates and unit residual of the source response (see
-    GfemPatch), and the pid of the patch that first posed it.  The
-    arrays are read-only, as patches share them."""
-
-    pid: int
-    range_ids: np.ndarray
-    core: _Core
-    over_gram: object
-    matrix: np.ndarray
-    u_f_coords: np.ndarray
-    u_f_residual: np.ndarray
 
 
 def _problem_key(mesh, core_box, over_box, coefficient, load):
@@ -282,13 +272,13 @@ def _source_split(core, u_f):
     return coords, residual
 
 
-def _solve_local_problem(pid, mesh, pde, coefficient, load, core_box,
+def _solve_local_problem(mesh, pde, coefficient, load, core_box,
                          source_ids, source, touches_dirichlet, cache):
-    """Assemble, factorize and solve one local problem, first posed by
-    patch pid, on the trace Γ of its core.  Its core is looked up in
-    cache by the core's cell counts, Γ and interior positions and element
-    coefficients, which fix every core array bitwise, and built there on
-    a miss."""
+    """Assemble, factorize and solve one local problem on the trace Γ of
+    its core; return it with the patch stiffness, its oversampled energy
+    Gram.  Its core is looked up in cache by the core's cell counts, Γ and
+    interior positions and element coefficients, which fix every core
+    array bitwise, and built there on a miss."""
     core_elements = mesh.elements_in_box(core_box)
     range_ids = np.unique(mesh.elements[core_elements])
     gamma, inner = _core_trace_split(mesh, range_ids, core_box)
@@ -312,11 +302,13 @@ def _solve_local_problem(pid, mesh, pde, coefficient, load, core_box,
         r = (mass_ones @ core.extension) / mass_ones.sum()
         matrix -= r @ matrix
     u_f_coords, u_f_residual = _source_split(core, u_f)
-    for array in (matrix, u_f_coords, u_f_residual):
+    for array in (source_ids, range_ids, matrix, u_f_coords, u_f_residual):
         array.setflags(write=False)
-    return _LocalProblem(pid=pid, range_ids=range_ids, core=core,
-                         over_gram=stiffness, matrix=matrix,
-                         u_f_coords=u_f_coords, u_f_residual=u_f_residual)
+    return _LocalProblem(
+        source_ids=source_ids, range_ids=range_ids, core=core,
+        touches_dirichlet=touches_dirichlet,
+        operator=DenseOperator(matrix, source, core.trace_space),
+        u_f_coords=u_f_coords, u_f_residual=u_f_residual), stiffness
 
 
 def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
@@ -324,10 +316,10 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
     """Build one complete patch around core_box.
 
     The patch is cut from the global mesh and slices coefficient and
-    load, the global centroid values.  The local problem, and within it
-    the core, is looked up in cache, a dict shared by the patches of one
-    cover, and built and stored there on a miss; the mesh, trace space,
-    weights and truth norms are the patch's own.
+    load, the global centroid values.  The local problem with its
+    stiffness, and within it the core, is looked up in cache, a dict
+    shared by the patches of one cover, and built and stored there on a
+    miss; the mesh, weights and truth norms are the patch's own.
     """
     gx0, gx1, gy0, gy1 = global_mesh.bounds
     cx0, cx1, cy0, cy1 = core_box
@@ -351,7 +343,9 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
 
     # trace space on the non-global part of the local boundary; the
     # closed-loop Gram restricted to the free nodes accounts for the
-    # ramp segments into the clamped ones
+    # ramp segments into the clamped ones.  Patches posing one problem
+    # differ in it by roundoff, so the truth's trace is normed in this
+    # patch's own
     loop = _boundary_loop(mesh)
     loop_gram = path_l2_gram(mesh.coords[loop], closed=True)
     free = np.flatnonzero(mesh.node_tags[loop] == GAMMA_OUT)
@@ -359,34 +353,28 @@ def _build_patch(global_mesh, pde, coefficient, load, truth, core_box,
         raise ValueError(f"patch {pid} has no free boundary")
     source_ids = loop[free]
     source = InnerProductSpace(loop_gram[np.ix_(free, free)])
-    # the oversampling box is clipped only at the global boundary
-    touches_dirichlet = min(abs(c - o) for c, o in
-                            zip(core_box, over_box)) <= GEOM_TOL
 
     coefficient = coefficient[elements]
     load = load[elements]
     key = _problem_key(mesh, core_box, over_box, coefficient, load)
-    local = cache.get(key)
-    if local is None:
-        local = cache[key] = _solve_local_problem(
-            pid, mesh, pde, coefficient, load, core_box, source_ids, source,
+    if key not in cache:
+        # the oversampling box is clipped only at the global boundary
+        touches_dirichlet = min(abs(c - o) for c, o in
+                                zip(core_box, over_box)) <= GEOM_TOL
+        cache[key] = _solve_local_problem(
+            mesh, pde, coefficient, load, core_box, source_ids, source,
             touches_dirichlet, cache)
+    problem, stiffness = cache[key]
 
-    range_ids = local.range_ids
     u_loc = truth[local_to_global]
     return GfemPatch(
-        pid=pid, problem_pid=local.pid, grid_pos=grid_pos,
-        core_box=core_box, over_box=over_box,
-        mesh=mesh, local_to_global=local_to_global, source_ids=source_ids,
-        range_ids=range_ids, source=source, core=local.core,
-        touches_dirichlet=touches_dirichlet,
-        pou_weights=_pou_weights(mesh.coords[range_ids], core_box,
+        pid=pid, grid_pos=grid_pos, core_box=core_box, over_box=over_box,
+        mesh=mesh, local_to_global=local_to_global,
+        pou_weights=_pou_weights(mesh.coords[problem.range_ids], core_box,
                                  grid_pos, grid_shape),
-        operator=DenseOperator(local.matrix, source, local.core.trace_space),
-        u_f_coords=local.u_f_coords, u_f_residual=local.u_f_residual,
-        truth_energy=float(np.sqrt(max(u_loc @ (local.over_gram @ u_loc),
-                                       0.0))),
-        trace_norm=source.norm(truth[local_to_global[source_ids]]))
+        truth_energy=float(np.sqrt(max(u_loc @ (stiffness @ u_loc), 0.0))),
+        trace_norm=source.norm(truth[local_to_global[source_ids]]),
+        problem=problem)
 
 
 def partition_of_unity(patches, global_mesh):
@@ -396,7 +384,7 @@ def partition_of_unity(patches, global_mesh):
     """
     total = np.zeros(global_mesh.n_nodes)
     for patch in patches:
-        gids = patch.local_to_global[patch.range_ids]
+        gids = patch.local_to_global[patch.problem.range_ids]
         np.add.at(total, gids, patch.pou_weights)
     defect = np.abs(total - 1.0).max()
     if defect > POU_TOL:
@@ -413,7 +401,7 @@ def cover_overlap_bound(patches, global_mesh):
     """
     counts = np.zeros(global_mesh.n_nodes, dtype=np.int64)
     for patch in patches:
-        gids = patch.local_to_global[patch.range_ids]
+        gids = patch.local_to_global[patch.problem.range_ids]
         counts[gids] += patch.pou_weights > 0.0
     return int(counts.max())
 
@@ -427,7 +415,7 @@ def tolerance_cascade(tol_gfem, patch_energies, c_pou):
     Heuristic by construction; the contract is the empirical one (global
     error below tol_gfem).
     """
-    if tol_gfem <= 0.0:
+    if not tol_gfem > 0.0:
         raise ValueError("tolerance must be positive")
     energies = np.asarray(patch_energies, dtype=float)
     m = energies.size
@@ -441,7 +429,7 @@ class LocalReducedSpace:
     constant kernel representative.
 
     coords, of shape (|Γ| + 1, n), is the basis in the coordinates of the
-    patch frame Z = [patch.core.frame, patch.u_f_residual]: its first |Γ|
+    frame Z = [core.frame, u_f_residual] of patch.problem: its first |Γ|
     rows refer to the columns of the core frame Q, its last row to the
     unit residual of u_f.  combined = Z coords, the basis on the
     range_ids nodes, is lifted on each read; the reduced solve and the
@@ -461,7 +449,7 @@ class LocalReducedSpace:
 
     @property
     def combined(self):
-        return _lift(self.patch, self.coords)
+        return _lift(self.patch.problem, self.coords)
 
     @property
     def n_random(self):
@@ -473,7 +461,7 @@ def local_space(patch, tol, n_t, eps_algofail, rng):
 
     tol is the absolute operator-norm tolerance for the patch transfer
     map.  The random basis B lives on the core trace Γ; its harmonic
-    extensions E B, the source response patch.u_f and the constant make
+    extensions E B, the source response u_f and the constant make
     the combined basis, orthonormalized in core L2 (the energy
     seminorm cannot normalize the constant), dropping dependent vectors.
     That runs in the coordinates of the core frame Q plus u_f's residual
@@ -482,13 +470,14 @@ def local_space(patch, tol, n_t, eps_algofail, rng):
     order, is the core-L2 one; the space keeps these coordinates and
     lifts them once.
     """
-    basis = adaptive_randomized_range(patch.operator, tol, n_t,
+    problem = patch.problem
+    basis = adaptive_randomized_range(problem.operator, tol, n_t,
                                       eps_algofail, rng)
-    core = patch.core
+    core = problem.core
     coords = RangeBasis(core.coord_space)
     coords.extend_block(core.frame_coords @ basis.matrix)
-    coords.extend(patch.u_f_coords)
-    if not patch.touches_dirichlet:
+    coords.extend(problem.u_f_coords)
+    if not problem.touches_dirichlet:
         coords.extend(core.frame_ones)
     return LocalReducedSpace(patch=patch, random_basis=basis,
                              coords=coords.matrix,
@@ -510,17 +499,18 @@ class GfemProblem:
     coupling: object
 
 
-def _patch_frame(patch):
-    """Z = [core.frame, u_f_residual]: the nodal images, on the range_ids
-    nodes, of the frame coordinates of a LocalReducedSpace."""
-    return np.column_stack([patch.core.frame, patch.u_f_residual])
+def _patch_frame(problem):
+    """Z = [core.frame, u_f_residual] of a local problem: the nodal
+    images, on the range_ids nodes, of the frame coordinates of a
+    LocalReducedSpace."""
+    return np.column_stack([problem.core.frame, problem.u_f_residual])
 
 
-def _lift(patch, coords):
+def _lift(problem, coords):
     """Z coords = Q coords[:-1] + u_f_residual coords[-1] on the range_ids
     nodes, for frame coordinates given as a vector or as columns."""
-    return (patch.core.frame @ coords[:-1]
-            + np.multiply.outer(patch.u_f_residual, coords[-1]))
+    return (problem.core.frame @ coords[:-1]
+            + np.multiply.outer(problem.u_f_residual, coords[-1]))
 
 
 def _energy_drop(gram):
@@ -536,7 +526,7 @@ class _Coupling:
     coordinates, built once per problem.
 
     Every combined basis is Z c, with Z = [core.frame, u_f_residual]
-    fixed per patch and c its coords.  With W the partition-of-unity
+    of the patch's problem and c its coords.  With W the partition-of-unity
     weight on a patch's kept (unconstrained) core nodes and A the
     unconstrained stiffness, each W Z is made energy-orthonormal,
     Psi = W Z T with T = V L^(-1/2) over the eigenpairs (L, V) of
@@ -570,30 +560,30 @@ class _Coupling:
         # those on one local problem share u_f's residual, so all of G
         core_grams, frame_grams = {}, {}
         for patch in patches:
-            gids = patch.local_to_global[patch.range_ids]
+            local = patch.problem
+            gids = patch.local_to_global[local.range_ids]
             keep = ~constrained[gids]
             self.keep_masks.append(keep)
             self.kept_gids.append(gids[keep])
             self.kept_weights.append(patch.pou_weights[keep])
 
-            core = patch.core
+            core = local.core
             m = core.range_space.gram
-            if id(core) not in core_grams:
+            if core not in core_grams:
                 q = core.frame - core.frame.mean(axis=0)
-                core_grams[id(core)] = (q, q.T @ (m @ q))
-            q, q_gram = core_grams[id(core)]
-            key = id(patch.u_f_residual)
-            if key not in frame_grams:
-                r = patch.u_f_residual - patch.u_f_residual.mean()
+                core_grams[core] = (q, q.T @ (m @ q))
+            q, q_gram = core_grams[core]
+            if local not in frame_grams:
+                r = local.u_f_residual - local.u_f_residual.mean()
                 m_r = m @ r
                 cross = q.T @ m_r
-                frame_grams[key] = (
+                frame_grams[local] = (
                     np.append(core.frame.mean(axis=0),
-                              patch.u_f_residual.mean()),
+                              local.u_f_residual.mean()),
                     np.column_stack([q, r]),
                     np.block([[q_gram, cross[:, None]],
                               [cross[None, :], r @ m_r]]))
-            mean, centred, gram = frame_grams[key]
+            mean, centred, gram = frame_grams[local]
             u = truth[gids] - truth[gids].mean()
             self.frame_means.append(mean)
             self.error_grams.append(gram)
@@ -641,7 +631,7 @@ class _Coupling:
         and those columns of A on near_k (sparse)."""
         gids = self.kept_gids[k]
         weighted = self.kept_weights[k][:, None] * (
-            _patch_frame(patch)[self.keep_masks[k]])
+            _patch_frame(patch.problem)[self.keep_masks[k]])
         # A is symmetric: its columns at gids are its rows there, with
         # the column indices renumbered within near
         rows = a_csr[gids]
@@ -688,10 +678,10 @@ def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
     """One seeded GFEM solve at a global tolerance.
 
     The adaptive rangefinder runs once per distinct local problem, on the
-    patch that first posed it (problem_pid), with that patch's stream
-    (seed << 32) + pid and the smallest operator tolerance target /
-    trace_norm among the patches that pose it, so its space meets every
-    one of their tolerances.  Each of those patches gets its own
+    patch that first posed it, with that patch's stream (seed << 32) + pid
+    and the smallest operator tolerance target / trace_norm among the
+    patches that pose it, so its space meets every one of their
+    tolerances.  Each of those patches gets its own
     LocalReducedSpace holding the shared random basis and coords; the
     reusing ones record 0 evaluations.
 
@@ -707,15 +697,15 @@ def gfem_run(problem, tol_gfem, n_t, eps_algofail, seed, threads=1):
     tols = {}
     for patch, target in zip(patches, targets):
         tol = float(target) / max(patch.trace_norm, 1e-300)
-        tols[patch.problem_pid] = min(tols.get(patch.problem_pid, tol), tol)
+        tols[patch.problem] = min(tols.get(patch.problem, tol), tol)
     first_spaces = {}
     spaces = []
     for patch in patches:
-        first = first_spaces.get(patch.problem_pid)
+        first = first_spaces.get(patch.problem)
         if first is None:
             # patches come in pid order, so this patch posed the problem
-            first = first_spaces[patch.pid] = local_space(
-                patch, tols[patch.pid], n_t, eps_algofail,
+            first = first_spaces[patch.problem] = local_space(
+                patch, tols[patch.problem], n_t, eps_algofail,
                 RngStream((seed << 32) + patch.pid))
             spaces.append(first)
         else:
@@ -818,7 +808,7 @@ def assemble_gfem_and_solve(problem, spaces):
                                                offsets[1:])):
         x = coupling.frame_coords(i, c @ coeff[lo:hi])
         keep, gids = coupling.keep_masks[i], coupling.kept_gids[i]
-        u = _lift(space.patch, x)
+        u = _lift(space.patch.problem, x)
         u_gfem[gids] += coupling.kept_weights[i] * u[keep]
 
     diff = problem.truth - u_gfem
@@ -853,7 +843,7 @@ def _local_error(coupling, i, space):
         b = c.T @ coupling.error_rhs[i]
         coeff, *_ = np.linalg.lstsq(g, b, rcond=None)
         y = c @ coeff
-        resid = u - (_lift(patch, y) - coupling.frame_means[i] @ y)
-    gram = patch.core.range_space.gram
+        resid = u - (_lift(patch.problem, y) - coupling.frame_means[i] @ y)
+    gram = patch.problem.core.range_space.gram
     num = float(np.sqrt(max(resid @ (gram @ resid), 0.0)))
     return num / max(patch.truth_energy, 1e-300)

@@ -152,7 +152,7 @@ def adaptive_randomized_range(op, tol, n_t, eps_algofail, rng):
     abort with the exhausted flag).  The basis is also exhausted once it
     reaches min(source dim, range dim) columns.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if not 0.0 < eps_algofail < 1.0:
         raise ValueError("eps_algofail must lie in (0, 1)")

@@ -41,7 +41,7 @@ def _source_response(patch, pde, source):
     mesh = patch.mesh
     stiffness = constrain_system(mesh, assemble_system(mesh, pde))
     load = constrain_rhs(mesh, load_vector(mesh, source))
-    return factorize(stiffness).solve(load)[patch.range_ids]
+    return factorize(stiffness).solve(load)[patch.problem.range_ids]
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,8 @@ def test_patch_grid_geometry(toy_problem):
     interior = next(p for p in patches if p.grid_pos == (4, 4))
     x0, x1, y0, y1 = interior.over_box
     assert (round(x1 - x0, 12), round(y1 - y0, 12)) == (0.4, 0.4)
-    assert interior.touches_dirichlet is False
-    assert corner.touches_dirichlet is True
+    assert interior.problem.touches_dirichlet is False
+    assert corner.problem.touches_dirichlet is True
 
 
 def test_interior_trace_count_fine_mesh():
@@ -75,7 +75,7 @@ def test_interior_trace_count_fine_mesh():
                          np.zeros(mesh.n_nodes), (0.4, 0.6, 0.4, 0.6),
                          (4, 4), (9, 9), {})
     assert np.allclose(patch.over_box, (0.3, 0.7, 0.3, 0.7))
-    assert patch.source.dim == patch.source_ids.size == 320
+    assert patch.source.dim == patch.problem.source_ids.size == 320
 
 
 def test_nonconforming_patch_grid_raises():
@@ -111,7 +111,7 @@ def test_pou_pointwise_cases(toy_problem):
     def weights_at(node):
         out = []
         for p in patches:
-            gids = p.local_to_global[p.range_ids]
+            gids = p.local_to_global[p.problem.range_ids]
             hit = np.nonzero(gids == node)[0]
             if hit.size and p.pou_weights[hit[0]] > 0.0:
                 out.append(p.pou_weights[hit[0]])
@@ -140,9 +140,9 @@ def test_single_patch_cover():
     # the weight construction itself degenerates to rho == 1
     weights = _pou_weights(mesh.coords, whole, (0, 0), (1, 1))
     assert np.array_equal(weights, np.ones(mesh.n_nodes))
+    whole_problem = types.SimpleNamespace(range_ids=np.arange(mesh.n_nodes))
     patch = types.SimpleNamespace(local_to_global=np.arange(mesh.n_nodes),
-                                  range_ids=np.arange(mesh.n_nodes),
-                                  pou_weights=weights)
+                                  problem=whole_problem, pou_weights=weights)
     assert np.abs(partition_of_unity([patch], mesh) - 1.0).max() == 0.0
     # no recombination loss: the relative local target equals the global
     target = tolerance_cascade(1e-3, [2.5], c_pou=1)
@@ -169,7 +169,8 @@ def test_patches_hold_one_factorization_at_a_time(monkeypatch):
     # the truth solve, then one per distinct local problem
     assert len(counts) == 1 + 25
     assert max(counts) == 1
-    assert all(type(p.operator) is DenseOperator for p in problem.patches)
+    assert all(type(p.problem.operator) is DenseOperator
+               for p in problem.patches)
 
 
 def test_extension_factorization_follows_patch_factorization(monkeypatch):
@@ -225,39 +226,54 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
     patches = build_patches(mesh, pde, source, truth)
     assert len(patches) == 81
     assert len(calls) == distinct
+    # patches posing one local problem share one record, and so one
+    # operator
+    problems = {}
+    for patch in patches:
+        local = patch.problem
+        key = b"".join(np.ascontiguousarray(a).tobytes() for a in (
+            local.operator.matrix, local.u_f_coords, local.range_ids))
+        first = problems.setdefault(key, patch)
+        assert local.operator is first.problem.operator
+    assert len(problems) == len({p.problem for p in patches}) == distinct
     # patches on equal cores share one core, and so one E object
     cores = {"uniform": 9, "channels": 24}[field]
     by_bytes = {}
     for patch in patches:
+        core = patch.problem.core
         key = b"".join(np.ascontiguousarray(a).tobytes() for a in (
-            patch.core.extension, patch.core.range_space.gram.toarray(),
-            patch.core.core_l2.gram.toarray()))
+            core.extension, core.range_space.gram.toarray(),
+            core.core_l2.gram.toarray()))
         first = by_bytes.setdefault(key, patch)
-        assert patch.core.extension is first.core.extension
+        assert core.extension is first.problem.core.extension
         # the frame is a full basis of span E
-        assert patch.core.frame.shape == patch.core.extension.shape
+        assert core.frame.shape == core.extension.shape
     assert len(by_bytes) == cores
     fields = _centroid_fields(mesh, pde, source)
     for patch in patches:
         alone = _build_patch(mesh, pde, *fields, truth, patch.core_box,
                              patch.grid_pos, (9, 9), cache={})
-        assert _same_bits(patch.operator.matrix, alone.operator.matrix)
-        assert _same_bits(patch.operator.range_space.gram,
-                          alone.operator.range_space.gram)
-        assert _same_bits(patch.core.extension, alone.core.extension)
-        assert _same_bits(patch.u_f_coords, alone.u_f_coords)
-        assert _same_bits(patch.u_f_residual, alone.u_f_residual)
-        assert _same_bits(patch.core.frame, alone.core.frame)
-        assert _same_bits(patch.core.range_space.gram,
-                          alone.core.range_space.gram)
-        assert _same_bits(patch.core.core_l2.gram, alone.core.core_l2.gram)
+        mine, ref = patch.problem, alone.problem
+        assert _same_bits(mine.operator.matrix, ref.operator.matrix)
+        assert _same_bits(mine.operator.range_space.gram,
+                          ref.operator.range_space.gram)
+        assert _same_bits(mine.source_ids, ref.source_ids)
+        assert _same_bits(mine.range_ids, ref.range_ids)
+        assert mine.touches_dirichlet == ref.touches_dirichlet
+        assert _same_bits(mine.core.extension, ref.core.extension)
+        assert _same_bits(mine.u_f_coords, ref.u_f_coords)
+        assert _same_bits(mine.u_f_residual, ref.u_f_residual)
+        assert _same_bits(mine.core.frame, ref.core.frame)
+        assert _same_bits(mine.core.range_space.gram,
+                          ref.core.range_space.gram)
+        assert _same_bits(mine.core.core_l2.gram, ref.core.core_l2.gram)
         assert patch.truth_energy == alone.truth_energy
         assert patch.trace_norm == alone.trace_norm
         assert np.array_equal(patch.pou_weights, alone.pou_weights)
         # shared arrays refuse in-place writes
-        for shared in (patch.operator.matrix, patch.core.extension,
-                       patch.operator.range_space.gram, patch.u_f_coords,
-                       patch.core.frame, patch.u_f_residual):
+        for shared in (mine.operator.matrix, mine.core.extension,
+                       mine.operator.range_space.gram, mine.u_f_coords,
+                       mine.core.frame, mine.u_f_residual, mine.range_ids):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.0
     assert len(calls) == distinct + len(patches)
@@ -274,11 +290,12 @@ def test_trace_operator_lifts_to_nodal_operator(field):
     rng = np.random.default_rng(17)
     for grid_pos, n_gamma in (((4, 4), 16), ((0, 4), 11), ((0, 0), 7)):
         patch = next(p for p in problem.patches if p.grid_pos == grid_pos)
-        ext = patch.core.extension
-        trace = patch.operator.matrix
-        gamma, inner = _core_trace_split(patch.mesh, patch.range_ids,
+        local = patch.problem
+        ext = local.core.extension
+        trace = local.operator.matrix
+        gamma, inner = _core_trace_split(patch.mesh, local.range_ids,
                                          patch.core_box)
-        clamped = np.setdiff1d(np.arange(patch.range_ids.size),
+        clamped = np.setdiff1d(np.arange(local.range_ids.size),
                                np.concatenate([gamma, inner]))
         assert gamma.size == n_gamma == ext.shape[1] == trace.shape[0]
         assert clamped.size == (0 if grid_pos == (4, 4) else
@@ -286,10 +303,10 @@ def test_trace_operator_lifts_to_nodal_operator(field):
         # identity on Γ, zero at clamped nodes, harmonic inside
         assert np.array_equal(ext[gamma], np.eye(n_gamma))
         assert not ext[clamped].any()
-        gram = patch.core.range_space.gram
+        gram = local.core.range_space.gram
         assert np.abs(gram[inner] @ ext).max() \
             <= 1e-14 * abs(gram).max() * np.abs(ext).max()
-        if not patch.touches_dirichlet:
+        if not local.touches_dirichlet:
             assert np.abs(ext @ np.ones(n_gamma) - 1.0).max() <= 1e-14
 
         # the lifted trace operator is the nodal transfer operator with
@@ -297,11 +314,11 @@ def test_trace_operator_lifts_to_nodal_operator(field):
         nodal = TransferOperator(
             factorize(constrain_system(patch.mesh,
                                        assemble_system(patch.mesh, pde))),
-            patch.source_ids, patch.range_ids, patch.source,
-            patch.core.range_space).apply_block(np.eye(patch.source.dim))
-        if not patch.touches_dirichlet:
-            ones = np.ones(patch.range_ids.size)
-            mass = patch.core.core_l2.gram
+            local.source_ids, local.range_ids, patch.source,
+            local.core.range_space).apply_block(np.eye(patch.source.dim))
+        if not local.touches_dirichlet:
+            ones = np.ones(local.range_ids.size)
+            mass = local.core.core_l2.gram
             nodal -= np.outer(ones, (ones @ (mass @ nodal))
                               / (ones @ (mass @ ones)))
         assert np.abs(ext @ trace - nodal).max() \
@@ -309,8 +326,8 @@ def test_trace_operator_lifts_to_nodal_operator(field):
 
         # the trace Gram is the core energy of the extension
         images = trace @ rng.standard_normal((patch.source.dim, 8))
-        trace_norms = patch.operator.range_space.norms(images)
-        core_norms = patch.core.range_space.norms(ext @ images)
+        trace_norms = local.operator.range_space.norms(images)
+        core_norms = local.core.range_space.norms(ext @ images)
         assert np.abs(trace_norms - core_norms).max() \
             <= 1e-13 * core_norms.max()
 
@@ -335,19 +352,19 @@ def test_combined_basis_matches_nodal_gram_schmidt(field):
             _, spaces = gfem_run(problem, tol, 8, 1e-12, seed=seed)
             for s in spaces:
                 patch = s.patch
-                core_l2 = patch.core.core_l2
+                core_l2 = patch.problem.core.core_l2
                 v = s.combined
                 worst_orth = max(worst_orth, np.abs(
                     v.T @ (core_l2.gram @ v) - np.eye(v.shape[1])).max())
                 u_f = responses[patch.pid]
-                inputs = [patch.core.extension @ s.random_basis.matrix,
+                inputs = [patch.problem.core.extension @ s.random_basis.matrix,
                           u_f[:, None]]
                 ref = RangeBasis(core_l2)
                 ref.extend_block(inputs[0])
                 ref.extend(u_f)
                 k = len(ref)
-                if not patch.touches_dirichlet:
-                    inputs.append(np.ones((patch.range_ids.size, 1)))
+                if not patch.problem.touches_dirichlet:
+                    inputs.append(np.ones((patch.problem.range_ids.size, 1)))
                     ref.extend(inputs[-1][:, 0])
                 assert len(ref) == v.shape[1]
                 # core-L2 projectors V V^T C against W W^T C, C = F F^T
@@ -380,8 +397,9 @@ def test_tolerance_cascade_scalings():
     assert t[0] < 1e-2 / 36.0 + 1e-15
     half = tolerance_cascade(5e-3, energies, c_pou=4)
     assert np.allclose(half, 0.5 * t)
-    with pytest.raises(ValueError):
-        tolerance_cascade(0.0, energies, c_pou=4)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            tolerance_cascade(tol, energies, c_pou=4)
 
 
 def test_local_mesh_reuses_global_coords():
@@ -414,7 +432,7 @@ def test_local_space_augmentation(toy_problem):
     quiet = _build_patch(mesh, pde, centroid_values(mesh, pde.coefficient),
                          np.zeros(len(mesh.elements)), toy_problem.truth,
                          interior.core_box, interior.grid_pos, (9, 9), {})
-    assert not quiet.u_f_coords.any()
+    assert not quiet.problem.u_f_coords.any()
     silent = local_space(quiet, 1e-3, 8, 1e-10, RngStream(3))
     assert silent.combined.shape[1] == silent.n_random + 1
 
@@ -430,7 +448,7 @@ def test_patch_spectra_decay(desk_uniform):
     # per patch kind: every spectrum crosses 1e-3 * sigma_1 between index
     # 13 (corners) and 29 (interior); by index 40 the worst ratio is 2e-5
     for patch in desk_uniform.patches:
-        data = weighted_svd(patch.operator)
+        data = weighted_svd(patch.problem.operator)
         assert data.sigma(20) <= 0.05 * data.sigma(1)
         assert data.sigma(40) <= 1e-3 * data.sigma(1)
 
@@ -442,9 +460,10 @@ def test_gfem_reproduces_fe_with_full_spaces(toy_problem):
     # reproduces it
     spaces = []
     for patch in toy_problem.patches:
+        core = patch.problem.core
         spaces.append(LocalReducedSpace(
-            patch=patch, random_basis=RangeBasis(patch.core.range_space),
-            coords=np.eye(patch.core.frame.shape[1] + 1), evaluations=0))
+            patch=patch, random_basis=RangeBasis(core.range_space),
+            coords=np.eye(core.frame.shape[1] + 1), evaluations=0))
     result = assemble_gfem_and_solve(toy_problem, spaces)
     assert result.dropped_columns > 0
     assert result.global_error <= 1e-10
@@ -467,7 +486,7 @@ def test_galerkin_orthogonality_on_singular_system():
     worst = 0.0
     for s in spaces:
         phi = np.zeros((problem.mesh.n_nodes, s.combined.shape[1]))
-        gids = s.patch.local_to_global[s.patch.range_ids]
+        gids = s.patch.local_to_global[s.patch.problem.range_ids]
         phi[gids] = s.patch.pou_weights[:, None] * s.combined
         phi[problem.mesh.constrained_nodes] = 0.0
         phi_norms = np.sqrt(np.einsum("ij,ij->j", phi, a @ phi))
@@ -491,7 +510,7 @@ def test_banded_assembly_matches_dense_reference(desk_uniform):
     blocks, rows, cols = [], [], []
     ofs = 0
     for s in spaces:
-        gids = s.patch.local_to_global[s.patch.range_ids]
+        gids = s.patch.local_to_global[s.patch.problem.range_ids]
         w = (free[gids] * s.patch.pou_weights)[:, None] * s.combined
         blocks.append((gids, slice(ofs, ofs + w.shape[1]), w))
         rows.append(np.repeat(gids, w.shape[1]))
@@ -668,8 +687,9 @@ def test_local_error_matches_least_squares(field, bound):
             result, spaces = gfem_run(problem, tol, 8, 1e-12, seed=seed)
             for s, local in zip(spaces, result.local_errors):
                 patch = s.patch
-                f = patch.core.range_space.factor()
-                u = problem.truth[patch.local_to_global[patch.range_ids]]
+                f = patch.problem.core.range_space.factor()
+                gids = patch.local_to_global[patch.problem.range_ids]
+                u = problem.truth[gids]
                 a, b = f.T @ s.combined, f.T @ u
                 coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
                 ref = np.linalg.norm(b - a @ coeff) / patch.truth_energy
@@ -687,10 +707,13 @@ def test_local_errors_bounded_by_one(toy_problem):
     assert result.local_errors.shape == (81,)
     assert (result.local_errors >= 0.0).all()
     assert (result.local_errors < 1.0).all()
-    # the space that ran the loop spent n + n_t, the ones reusing it none
-    assert all(s.evaluations == (s.n_random + 8 if s.patch.pid
-                                 == s.patch.problem_pid else 0)
-               for s in spaces)
+    # the space that ran the loop, on the first patch posing its
+    # problem, spent n + n_t, the ones reusing it none
+    seen = set()
+    for s in spaces:
+        ran = s.patch.problem not in seen
+        seen.add(s.patch.problem)
+        assert s.evaluations == (s.n_random + 8 if ran else 0)
 
 
 @pytest.mark.parametrize("field, distinct", [("uniform", 25),
@@ -715,17 +738,18 @@ def test_one_adaptive_loop_per_local_problem(monkeypatch, field, distinct):
     assert result.global_error <= tol_gfem
     groups = {}
     for patch in patches:
-        groups.setdefault(patch.problem_pid, []).append(patch)
+        groups.setdefault(patch.problem, []).append(patch)
     assert len(groups) == distinct
-    assert list(loops) == sorted(groups)
+    assert list(loops) == [members[0].pid for members in groups.values()]
+    fields = _centroid_fields(problem.mesh, pde, source)
 
     targets = tolerance_cascade(tol_gfem, [p.truth_energy for p in patches],
                                 problem.c_pou)
     op_tols = [float(t) / p.trace_norm for p, t in zip(patches, targets)]
     spent = 0
-    for pid, members in groups.items():
-        first = patches[pid]
-        assert members[0] is first and first.pid == pid
+    for members in groups.values():
+        first = members[0]
+        pid = first.pid
         assert loops[pid] == min(op_tols[m.pid] for m in members)
         ref = run_loop(first, loops[pid], n_t, eps,
                        RngStream((seed << 32) + pid))
@@ -745,13 +769,16 @@ def test_one_adaptive_loop_per_local_problem(monkeypatch, field, distinct):
             assert mine.evaluations == (space.evaluations if member is first
                                         else 0)
             assert estimate <= op_tols[member.pid]
-            # the loop ran on the first patch's source Gram; members'
-            # differ from it only in roundoff, and its certified lambda_min,
-            # which c_est divides by, bounds theirs from below
-            other = member.source.gram.toarray()
+            # the loop ran on the first patch's source Gram; the one a
+            # member builds alone differs from it only in roundoff, and
+            # its certified lambda_min, which c_est divides by, bounds
+            # that Gram's eigenvalues from below
+            alone = _build_patch(problem.mesh, pde, *fields, problem.truth,
+                                 member.core_box, member.grid_pos, (9, 9),
+                                 cache={})
+            other = alone.source.gram.toarray()
             assert np.abs(other - gram).max() <= 1e-13 * np.abs(gram).max()
             assert first.source.lambda_min <= np.linalg.eigvalsh(other)[0]
-            assert member.operator.matrix is first.operator.matrix
     assert sum(s.evaluations for s in spaces) == spent
 
 

@@ -191,9 +191,9 @@ def test_weighted_norm_of_a_tall_operator():
 def test_weighted_norm_of_gfem_patch_operators(desk_uniform):
     # semidefinite trace spaces: the range factor comes from eigh
     patches = desk_uniform.patches
-    assert not any(p.operator.range_space.definite for p in patches)
+    assert not any(p.problem.operator.range_space.definite for p in patches)
     for patch in patches[::10]:
-        _assert_sigma1_agrees(patch.operator)
+        _assert_sigma1_agrees(patch.problem.operator)
 
 
 def test_projection_error_on_the_full_and_the_empty_basis(interface40):

@@ -221,9 +221,10 @@ def test_adaptive_blocks_stop_at_the_residual_rank():
 
 def test_adaptive_input_validation():
     op = _identity_op(4)
-    with pytest.raises(ValueError):
-        adaptive_randomized_range(op, tol=0.0, n_t=3, eps_algofail=1e-10,
-                                  rng=RngStream(1))
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            adaptive_randomized_range(op, tol=tol, n_t=3,
+                                      eps_algofail=1e-10, rng=RngStream(1))
     with pytest.raises(ValueError):
         adaptive_randomized_range(op, tol=1e-3, n_t=3, eps_algofail=0.0,
                                   rng=RngStream(1))

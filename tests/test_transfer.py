@@ -59,10 +59,10 @@ def _interior(problem):
 def test_kernel_stage_removes_constants(toy_gfem):
     # an interior GFEM patch operator maps into the range modulo constants
     patch = _interior(toy_gfem[2])
-    op = patch.operator
-    mass = patch.core.core_l2.gram
-    assert not patch.touches_dirichlet
-    ext = patch.core.extension
+    op = patch.problem.operator
+    mass = patch.problem.core.core_l2.gram
+    assert not patch.problem.touches_dirichlet
+    ext = patch.problem.core.extension
     ones = np.ones(op.source.dim)
     assert np.abs(ext @ op.apply(ones)).max() < 1e-10
     assert np.abs(ext @ op.apply_block(np.column_stack([ones, ones]))).max() \
@@ -70,32 +70,32 @@ def test_kernel_stage_removes_constants(toy_gfem):
     # generic data: the output is core-mass-orthogonal to constants
     rng = np.random.default_rng(73)
     v = ext @ op.apply(rng.standard_normal(op.source.dim))
-    assert abs(np.ones(patch.range_ids.size) @ (mass @ v)) < \
+    assert abs(np.ones(patch.problem.range_ids.size) @ (mass @ v)) < \
         1e-12 * np.abs(v).max()
 
 
 def test_kernel_projection_identities(toy_gfem):
     _, pde, problem = toy_gfem
     patch = _interior(problem)
-    op = patch.operator
-    mass = patch.core.core_l2.gram
+    op = patch.problem.operator
+    mass = patch.problem.core.core_l2.gram
     # the operator is the plain transfer map followed by the core-mass
     # projection off the constant
     plain_op = TransferOperator(
         factorize(constrain_system(patch.mesh,
                                    assemble_system(patch.mesh, pde))),
-        patch.source_ids, patch.range_ids, patch.source,
-        patch.core.range_space)
+        patch.problem.source_ids, patch.problem.range_ids, patch.source,
+        patch.problem.core.range_space)
     rng = np.random.default_rng(79)
     z = rng.standard_normal(op.source.dim)
-    v = patch.core.extension @ op.apply(z)
+    v = patch.problem.core.extension @ op.apply(z)
     plain = plain_op.apply(z)
-    ones = np.ones(patch.range_ids.size)
+    ones = np.ones(patch.problem.range_ids.size)
     mean = (ones @ (mass @ plain)) / (ones @ (mass @ ones))
     projected = plain - mean * ones
     assert np.abs(v - projected).max() < 1e-13 * np.abs(plain).max()
     # block columns match the single applies
-    block = patch.core.extension @ op.apply_block(
+    block = patch.problem.core.extension @ op.apply_block(
         np.column_stack([z, np.ones(op.source.dim)]))
     assert np.abs(block[:, 0] - v).max() < 1e-13 * np.abs(v).max()
     assert np.abs(block[:, 1]).max() < 1e-10
