@@ -90,8 +90,10 @@ def main(argv=None):
                  if getattr(args, key) is not None}
     try:
         cfg = ExperimentConfig.from_json(args.config, **overrides)
+        # only after validation, so a rejected config leaves no directory
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
-        # a rejected config is a usage error, like argparse's own (exit 2)
+        # a bad config or --out path is a usage error: exit 2, as argparse
         print(f"locmor: error: {exc}", file=sys.stderr)
         return 2
     paths = run_experiment(cfg)

@@ -521,7 +521,6 @@ _RUNNERS = {
 
 
 def run_experiment(cfg):
-    """Execute one configured experiment; returns the written paths."""
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg, outdir)
+    """Execute one configured experiment into the existing directory
+    cfg.out; returns the written paths."""
+    return _RUNNERS[cfg.experiment](cfg, Path(cfg.out))

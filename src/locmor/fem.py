@@ -66,8 +66,9 @@ class RectMesh:
     kind 'p1x': each square split into four linear triangles through an
     added center node (corner nodes first, then center nodes).
     Nodes sit at lattice index times h, so a mesh on a sub-box has
-    bitwise the positions of its parent's nodes.  coords and node_tags
-    are read-only; build_rect_mesh describes tag_fn.
+    bitwise the positions of its parent's nodes.  coords, node_tags and
+    elements (node ids, a row per element) are read-only; build_rect_mesh
+    describes tag_fn.
     """
 
     def __init__(self, bounds, h, kind, tag_fn=None):
@@ -98,11 +99,6 @@ class RectMesh:
                              "SIGMA_D codes")
         tags = np.full(self.n_nodes, INTERIOR, dtype=np.int8)
         tags[boundary] = codes
-        for array in (coords, tags):
-            array.setflags(write=False)
-        self.coords = coords
-        self.node_tags = tags
-        self._centroids = None
 
         ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
         ii = ii.ravel()
@@ -111,22 +107,23 @@ class RectMesh:
         b = a + 1
         c = b + (self.nx + 1)
         d = a + (self.nx + 1)
-        self.quads = np.column_stack([a, b, c, d])
         if kind == "p1x":
             m = self.n_corner + jj * self.nx + ii
             # triangle order per square: bottom, right, top, left
-            self.tris = np.vstack([
+            elements = np.vstack([
                 np.column_stack([a, b, m]),
                 np.column_stack([b, c, m]),
                 np.column_stack([c, d, m]),
                 np.column_stack([d, a, m]),
             ])
         else:
-            self.tris = None
-
-    @property
-    def elements(self):
-        return self.tris if self.kind == "p1x" else self.quads
+            elements = np.column_stack([a, b, c, d])
+        for array in (coords, tags, elements):
+            array.setflags(write=False)
+        self.coords = coords
+        self.node_tags = tags
+        self.elements = elements
+        self._centroids = None
 
     @property
     def element_area(self):

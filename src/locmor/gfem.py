@@ -36,8 +36,9 @@ SHIFT_RETRIES = 3
 class _Core:
     """What a patch core alone fixes, built once per distinct core of a
     cover and shared by every patch on it: the nodal core energy space
-    (Gram M), the core-L2 space (Gram C), the harmonic extension E from
-    Γ with the trace space of its Schur complement S = E^T M E, and a
+    (Gram M), the core-L2 space (Gram C), and, read off the harmonic
+    extension E from Γ, which is not kept, the trace space of its Schur
+    complement S = E^T M E, the constant row 1^T C E / 1^T C 1 and a
     frame: a core-L2-orthonormal basis Q of span E.  Frame coordinates,
     in the Euclidean coord_space, refer to the columns of Q and then to
     one more direction, a patch's source-response residual:
@@ -46,8 +47,8 @@ class _Core:
 
     range_space: InnerProductSpace
     core_l2: InnerProductSpace
-    extension: np.ndarray
     trace_space: InnerProductSpace
+    constant_row: np.ndarray
     frame: np.ndarray
     frame_coords: np.ndarray
     frame_ones: np.ndarray
@@ -65,13 +66,13 @@ class _LocalProblem:
     Every transfer image is discrete-harmonic inside the core, so the
     operator maps the first patch's trace space onto the trace on Γ, the
     free nodes of the core-box boundary, normed by the Schur complement
-    of the core energy Gram; core.extension lifts a trace to the
-    range_ids nodes (harmonic inside, zero at clamped nodes) without
-    changing its energy norm.  u_f_coords and u_f_residual are what the
-    source response u_f adds to the core frame Q: u_f = Q u_f_coords[:-1]
-    + u_f_coords[-1] u_f_residual up to roundoff, with u_f_residual the
-    core-L2 unit residual of u_f against Q, or zero where u_f lies in
-    span E.  The arrays are read-only."""
+    of the core energy Gram; the harmonic extension E, whose span the
+    core frame Q holds, lifts a trace to the range_ids nodes (harmonic
+    inside, zero at clamped nodes) without changing its energy norm.
+    u_f_coords and u_f_residual are what the source response u_f adds
+    to Q: u_f = Q u_f_coords[:-1] + u_f_coords[-1] u_f_residual up to
+    roundoff, with u_f_residual the core-L2 unit residual of u_f against
+    Q, or zero where u_f lies in span E.  The arrays are read-only."""
 
     source_ids: np.ndarray
     range_ids: np.ndarray
@@ -202,22 +203,20 @@ def _core_trace_split(mesh, range_ids, core_box):
 
 
 def _trace_transfer(mesh, stiffness, load, source_ids, source, range_ids,
-                    gamma_ids):
-    """Dense transfer matrix onto the nodes gamma_ids and the source
-    response at range_ids, from one factorization of the constrained
-    local stiffness that is freed on return, so a cover holds one
-    factorization at a time."""
+                    gamma_ids, trace_space):
+    """Dense transfer operator onto the nodes gamma_ids, normed in
+    trace_space, and the source response at range_ids, from one
+    factorization of the constrained local stiffness that is freed on
+    return, so a cover holds one factorization at a time."""
     factorization = factorize(fem.constrain_system(mesh, stiffness))
     # local source response with zero data on the whole local boundary
     u_f = factorization.solve(
         fem.constrain_rhs(mesh, fem.load_vector(mesh, load)))[range_ids]
     # Monte Carlo studies rerun every patch many times; the dense form
-    # amortizes the local solves across runs.  The range product does
-    # not enter the assembly.
-    matrix = TransferOperator(
-        factorization, source_ids, gamma_ids, source,
-        InnerProductSpace.euclidean(gamma_ids.size)).assemble_dense().matrix
-    return matrix, u_f
+    # amortizes the local solves across runs
+    operator = TransferOperator(factorization, source_ids, gamma_ids, source,
+                                trace_space).assemble_dense()
+    return operator, u_f
 
 
 def _harmonic_extension(m, gamma, inner):
@@ -234,14 +233,17 @@ def _harmonic_extension(m, gamma, inner):
 
 
 def _build_core(mesh, pde, coefficient, core_box, gamma, inner):
-    """Core spaces, harmonic extension and frame of one core; the frame
-    takes the two-pass Cholesky QR path of extend_block, as E is well
-    conditioned in the core L2 product."""
+    """Core spaces, constant row and frame of one core, read off its
+    harmonic extension E, which is freed on return; the frame takes the
+    two-pass Cholesky QR path of extend_block, as E is well conditioned
+    in the core L2 product."""
     energy_gram, _ = fem.assemble_energy_product(mesh, pde, core_box,
                                                  coefficient)
     core_mass, _ = fem.assemble_mass_subdomain(mesh, core_box)
     core_l2 = InnerProductSpace(core_mass)
     extension, schur = _harmonic_extension(energy_gram, gamma, inner)
+    mass_ones = core_l2.gram @ np.ones(core_l2.dim)
+    constant_row = (mass_ones @ extension) / mass_ones.sum()
     basis = RangeBasis(core_l2)
     basis.extend_block(extension)
     frame = basis.matrix.copy()
@@ -249,14 +251,14 @@ def _build_core(mesh, pde, coefficient, core_box, gamma, inner):
     frame_coords = np.vstack([mass_frame.T @ extension,
                               np.zeros(gamma.size)])
     frame_ones = np.append(mass_frame.sum(axis=0), 0.0)
-    for array in (extension, schur, frame, frame_coords, frame_ones):
+    for array in (schur, constant_row, frame, frame_coords, frame_ones):
         array.setflags(write=False)
     return _Core(range_space=InnerProductSpace(energy_gram, definite=False),
-                 core_l2=core_l2, extension=extension,
+                 core_l2=core_l2,
                  trace_space=InnerProductSpace(schur, definite=False),
-                 frame=frame, frame_coords=frame_coords,
-                 frame_ones=frame_ones,
-                 coord_space=InnerProductSpace(np.eye(frame.shape[1] + 1)))
+                 constant_row=constant_row, frame=frame,
+                 frame_coords=frame_coords, frame_ones=frame_ones,
+                 coord_space=InnerProductSpace.euclidean(frame.shape[1] + 1))
 
 
 def _source_split(core, u_f):
@@ -276,16 +278,13 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box,
                          source_ids, source, touches_dirichlet, cache):
     """Assemble, factorize and solve one local problem on the trace Γ of
     its core; return it with the patch stiffness, its oversampled energy
-    Gram.  Its core is looked up in cache by the core's cell counts, Γ and
-    interior positions and element coefficients, which fix every core
-    array bitwise, and built there on a miss."""
+    Gram.  Its core is looked up first, in cache by the core's cell
+    counts, Γ and interior positions and element coefficients, which fix
+    every core array bitwise, and built there on a miss, so the core's
+    factorization is freed before the patch system is factored."""
     core_elements = mesh.elements_in_box(core_box)
     range_ids = np.unique(mesh.elements[core_elements])
     gamma, inner = _core_trace_split(mesh, range_ids, core_box)
-    # the patch mesh is the oversampling box, so this is its energy Gram
-    stiffness = fem.assemble_system(mesh, pde, coefficient=coefficient)
-    matrix, u_f = _trace_transfer(mesh, stiffness, load, source_ids, source,
-                                  range_ids, range_ids[gamma])
     cx0, cx1, cy0, cy1 = core_box
     core_key = ("core", round((cx1 - cx0) / mesh.h),
                 round((cy1 - cy0) / mesh.h), gamma.tobytes(),
@@ -294,20 +293,23 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box,
     if core is None:
         core = cache[core_key] = _build_core(mesh, pde, coefficient,
                                              core_box, gamma, inner)
+    # the patch mesh is the oversampling box, so this is its energy Gram
+    stiffness = fem.assemble_system(mesh, pde, coefficient=coefficient)
+    operator, u_f = _trace_transfer(mesh, stiffness, load, source_ids,
+                                    source, range_ids, range_ids[gamma],
+                                    core.trace_space)
     if not touches_dirichlet:
         # constants are flat in the energy product, so the operator maps
         # into the range modulo constants: each image loses its core-L2
         # projection onto the constant, in Γ coordinates as E 1 = 1 here
-        mass_ones = core.core_l2.gram @ np.ones(range_ids.size)
-        r = (mass_ones @ core.extension) / mass_ones.sum()
-        matrix -= r @ matrix
+        operator.matrix -= core.constant_row @ operator.matrix
     u_f_coords, u_f_residual = _source_split(core, u_f)
-    for array in (source_ids, range_ids, matrix, u_f_coords, u_f_residual):
+    for array in (source_ids, range_ids, operator.matrix, u_f_coords,
+                  u_f_residual):
         array.setflags(write=False)
     return _LocalProblem(
         source_ids=source_ids, range_ids=range_ids, core=core,
-        touches_dirichlet=touches_dirichlet,
-        operator=DenseOperator(matrix, source, core.trace_space),
+        touches_dirichlet=touches_dirichlet, operator=operator,
         u_f_coords=u_f_coords, u_f_residual=u_f_residual), stiffness
 
 
@@ -492,18 +494,10 @@ class GfemProblem:
     pde: object
     patches: list
     stiffness_raw: object
-    load: np.ndarray
     truth: np.ndarray
     truth_energy: float
     c_pou: int
     coupling: object
-
-
-def _patch_frame(problem):
-    """Z = [core.frame, u_f_residual] of a local problem: the nodal
-    images, on the range_ids nodes, of the frame coordinates of a
-    LocalReducedSpace."""
-    return np.column_stack([problem.core.frame, problem.u_f_residual])
 
 
 def _lift(problem, coords):
@@ -630,8 +624,9 @@ class _Coupling:
         nodes near_k that the stiffness columns of the kept nodes reach,
         and those columns of A on near_k (sparse)."""
         gids = self.kept_gids[k]
-        weighted = self.kept_weights[k][:, None] * (
-            _patch_frame(patch.problem)[self.keep_masks[k]])
+        z = np.column_stack([patch.problem.core.frame,
+                             patch.problem.u_f_residual])
+        weighted = self.kept_weights[k][:, None] * z[self.keep_masks[k]]
         # A is symmetric: its columns at gids are its rows there, with
         # the column indices renumbered within near
         rows = a_csr[gids]
@@ -669,7 +664,7 @@ def build_gfem_problem(mesh, pde, source_fn):
     c_pou = cover_overlap_bound(patches, mesh)
     coupling = _Coupling(mesh, stiffness_raw, load, truth, patches)
     return GfemProblem(mesh=mesh, pde=pde, patches=patches,
-                       stiffness_raw=stiffness_raw, load=load, truth=truth,
+                       stiffness_raw=stiffness_raw, truth=truth,
                        truth_energy=truth_energy, c_pou=c_pou,
                        coupling=coupling)
 

@@ -40,16 +40,12 @@ class RngStream:
     """
 
     def __init__(self, seed):
-        self.seed = int(seed)
-        self._generator = np.random.Generator(np.random.Philox(key=self.seed))
-        self.draws = 0
+        self._generator = np.random.Generator(np.random.Philox(key=int(seed)))
 
     def standard_normal(self, size):
         """Next variates: one vector for an int size, or for (count, n)
         a block whose rows are count successive vectors of n."""
-        z = self._generator.standard_normal(size)
-        self.draws += z.size
-        return z
+        return self._generator.standard_normal(size)
 
 
 def c_est(n_t, eps_testfail, lambda_min):

@@ -50,15 +50,11 @@ class TransferOperator:
         self.source = source
         self.range_space = range_space
 
-    @property
-    def n_source(self):
-        return self.source.dim
-
     def apply_block(self, block):
         """Apply to one source coefficient vector, or to columns of them
         in one multi-RHS solve."""
         block = np.asarray(block, dtype=float)
-        if block.shape[:1] != (self.n_source,):
+        if block.shape[:1] != (self.source.dim,):
             raise ValueError("source coefficients have the wrong length")
         rhs = np.zeros((self.n_total, *block.shape[1:]))
         rhs[self.source_ids] = block
@@ -70,13 +66,13 @@ class TransferOperator:
         """Dense form from one block solve on the identity: forward over
         the source columns, or transposed over the range rows when there
         are fewer of them.  Refuses above DENSE_GUARD source dimensions."""
-        if self.n_source > DENSE_GUARD:
+        if self.source.dim > DENSE_GUARD:
             raise ValueError(
-                f"dense assembly of {self.n_source} columns exceeds the "
+                f"dense assembly of {self.source.dim} columns exceeds the "
                 f"guard of {DENSE_GUARD}")
         n_range = self.range_ids.size
-        if n_range >= self.n_source:
-            matrix = self.apply_block(np.eye(self.n_source))
+        if n_range >= self.source.dim:
+            matrix = self.apply_block(np.eye(self.source.dim))
         else:
             # row i of the operator is row range_ids[i] of the inverse,
             # read at the source columns: one solve with the transpose

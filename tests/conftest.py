@@ -15,7 +15,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 import numpy as np
 import pytest
 
-from locmor.gfem import build_gfem_problem
+from locmor.gfem import (_core_trace_split, _harmonic_extension,
+                         build_gfem_problem)
 from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, build_interface_transfer, \
     gfem_field
@@ -76,3 +77,14 @@ def random_spd(rng, n, cond=None):
     else:
         eig = np.geomspace(1.0, cond, n)
     return (q * eig) @ q.T
+
+
+def core_extension(patch):
+    """The harmonic extension E of a GFEM patch's core, rebuilt from the
+    core energy Gram as the core build makes it: bitwise the E that the
+    core's frame and constant row were read off, which the core does not
+    keep."""
+    local = patch.problem
+    gamma, inner = _core_trace_split(patch.mesh, local.range_ids,
+                                     patch.core_box)
+    return _harmonic_extension(local.core.range_space.gram, gamma, inner)[0]

@@ -345,6 +345,19 @@ def test_rejected_configs_exit_2_with_one_line(tmp_path, capsys):
         _assert_rejected(returncode, capsys.readouterr().err, out, args)
 
 
+def test_unusable_out_path_exits_2_with_one_line(tmp_path, capsys):
+    # --out naming an existing file, or a path beneath one, leaves no
+    # room for the output directory: a usage error, like a bad config
+    cfg = _write_config(tmp_path, SMALL_FIXED)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept", encoding="utf-8")
+    for out in (blocker, blocker / "out"):
+        args = ["run", "--config", cfg, "--out", str(out)]
+        _assert_rejected(main(args), capsys.readouterr().err,
+                         blocker / "out", args)
+    assert blocker.read_text(encoding="utf-8") == "kept"
+
+
 def test_console_script_and_error_exit_codes(tmp_path):
     # the entry-point wiring: a listing, one rejected config (the rest
     # of the table runs in-process above) and an unknown flag

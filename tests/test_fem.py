@@ -66,7 +66,7 @@ def test_boundary_tag_precedence():
 
 def test_mesh_is_read_only_and_rejects_unknown_tags():
     mesh = build_rect_mesh((0, 1, 0, 1), 0.5, kind="p1x")
-    for array in (mesh.coords, mesh.node_tags):
+    for array in (mesh.coords, mesh.node_tags, mesh.elements):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     with pytest.raises(ValueError, match="tag_fn must return"):
@@ -134,7 +134,7 @@ def test_element_matrices_match_quadrature_oracle():
     for h in (0.7, 1.0 / 3.0):
         mesh = build_rect_mesh((0, h, 0, h), h, kind="p1x")
         ref = np.zeros((2, mesh.n_nodes, mesh.n_nodes))
-        for tri, k in zip(mesh.tris, coefficient):
+        for tri, k in zip(mesh.elements, coefficient):
             x, y = mesh.coords[tri].T
             b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
             c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import types
 import weakref
 
@@ -25,6 +26,7 @@ from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, gfem_field
 from locmor.rangefinder import RngStream
 from locmor.transfer import DenseOperator, TransferOperator
+from conftest import core_extension
 
 
 def _centroid_fields(mesh, pde, source):
@@ -42,6 +44,12 @@ def _source_response(patch, pde, source):
     stiffness = constrain_system(mesh, assemble_system(mesh, pde))
     load = constrain_rhs(mesh, load_vector(mesh, source))
     return factorize(stiffness).solve(load)[patch.problem.range_ids]
+
+
+def _global_load(problem, source):
+    """The constrained global load b that build_gfem_problem solves the
+    truth against."""
+    return constrain_rhs(problem.mesh, load_vector(problem.mesh, source))
 
 
 @pytest.fixture(scope="module")
@@ -173,31 +181,37 @@ def test_patches_hold_one_factorization_at_a_time(monkeypatch):
                for p in problem.patches)
 
 
-def test_extension_factorization_follows_patch_factorization(monkeypatch):
-    # the core factorization behind each harmonic extension is made only
-    # after the patch factorization is freed, so counting both kinds,
-    # one factorization is alive at a time
+def test_extension_factorization_precedes_patch_factorization(monkeypatch):
+    # the core factorization behind each harmonic extension is made and
+    # freed before the patch factorization of the problem that first
+    # needs the core, so counting both kinds, one factorization is alive
+    # at a time
     alive = []
     counts = []
+    kinds = []
 
-    def tracked(factorize):
+    def tracked(factorize, kind):
         def wrapper(matrix):
             factorization = factorize(matrix)
             alive.append(weakref.ref(factorization))
             counts.append(sum(ref() is not None for ref in alive))
+            kinds.append(kind)
             return factorization
         return wrapper
 
     monkeypatch.setattr(locmor.gfem, "factorize",
-                        tracked(locmor.gfem.factorize))
+                        tracked(locmor.gfem.factorize, "system"))
     monkeypatch.setattr(locmor.linalg, "factorize",
-                        tracked(locmor.linalg.factorize))
+                        tracked(locmor.linalg.factorize, "core"))
     pde, source = gfem_field("uniform")
     build_gfem_problem(build_gfem_mesh(20), pde, source)
     # the truth solve, a patch one per distinct problem and a core one
-    # per distinct core
+    # per distinct core, each followed by its problem's patch one
     assert len(counts) == 1 + 25 + 9
     assert max(counts) == 1
+    assert kinds[:3] == ["system", "core", "system"]
+    assert all(kinds[k + 1] == "system"
+               for k, kind in enumerate(kinds) if kind == "core")
 
 
 def _same_bits(a, b):
@@ -236,18 +250,25 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         first = problems.setdefault(key, patch)
         assert local.operator is first.problem.operator
     assert len(problems) == len({p.problem for p in patches}) == distinct
-    # patches on equal cores share one core, and so one E object
+    # patches on equal cores share one core; E is not kept, only what
+    # the build reads off it
     cores = {"uniform": 9, "channels": 24}[field]
     by_bytes = {}
     for patch in patches:
         core = patch.problem.core
+        assert "extension" not in {f.name for f in dataclasses.fields(core)}
+        ext = core_extension(patch)
         key = b"".join(np.ascontiguousarray(a).tobytes() for a in (
-            core.extension, core.range_space.gram.toarray(),
+            ext, core.range_space.gram.toarray(),
             core.core_l2.gram.toarray()))
         first = by_bytes.setdefault(key, patch)
-        assert core.extension is first.problem.core.extension
-        # the frame is a full basis of span E
-        assert core.frame.shape == core.extension.shape
+        assert core is first.problem.core
+        # the frame is a full basis of span E, and the constant row is
+        # the core-L2 projection onto the constant of E's columns
+        assert core.frame.shape == ext.shape
+        mass_ones = core.core_l2.gram @ np.ones(core.core_l2.dim)
+        assert _same_bits(core.constant_row,
+                          (mass_ones @ ext) / mass_ones.sum())
     assert len(by_bytes) == cores
     fields = _centroid_fields(mesh, pde, source)
     for patch in patches:
@@ -260,7 +281,9 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         assert _same_bits(mine.source_ids, ref.source_ids)
         assert _same_bits(mine.range_ids, ref.range_ids)
         assert mine.touches_dirichlet == ref.touches_dirichlet
-        assert _same_bits(mine.core.extension, ref.core.extension)
+        assert _same_bits(mine.core.constant_row, ref.core.constant_row)
+        assert _same_bits(mine.core.trace_space.gram,
+                          ref.core.trace_space.gram)
         assert _same_bits(mine.u_f_coords, ref.u_f_coords)
         assert _same_bits(mine.u_f_residual, ref.u_f_residual)
         assert _same_bits(mine.core.frame, ref.core.frame)
@@ -271,7 +294,7 @@ def test_patch_cache_is_exact(monkeypatch, field, distinct):
         assert patch.trace_norm == alone.trace_norm
         assert np.array_equal(patch.pou_weights, alone.pou_weights)
         # shared arrays refuse in-place writes
-        for shared in (mine.operator.matrix, mine.core.extension,
+        for shared in (mine.operator.matrix, mine.core.constant_row,
                        mine.operator.range_space.gram, mine.u_f_coords,
                        mine.core.frame, mine.u_f_residual, mine.range_ids):
             with pytest.raises(ValueError, match="read-only"):
@@ -291,7 +314,7 @@ def test_trace_operator_lifts_to_nodal_operator(field):
     for grid_pos, n_gamma in (((4, 4), 16), ((0, 4), 11), ((0, 0), 7)):
         patch = next(p for p in problem.patches if p.grid_pos == grid_pos)
         local = patch.problem
-        ext = local.core.extension
+        ext = core_extension(patch)
         trace = local.operator.matrix
         gamma, inner = _core_trace_split(patch.mesh, local.range_ids,
                                          patch.core_box)
@@ -324,7 +347,9 @@ def test_trace_operator_lifts_to_nodal_operator(field):
         assert np.abs(ext @ trace - nodal).max() \
             <= 1e-12 * np.abs(nodal).max()
 
-        # the trace Gram is the core energy of the extension
+        # the operator is assembled in the core's trace space, whose
+        # Gram is the core energy of the extension
+        assert local.operator.range_space is local.core.trace_space
         images = trace @ rng.standard_normal((patch.source.dim, 8))
         trace_norms = local.operator.range_space.norms(images)
         core_norms = local.core.range_space.norms(ext @ images)
@@ -346,6 +371,7 @@ def test_combined_basis_matches_nodal_gram_schmidt(field):
     problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
     responses = {p.pid: _source_response(p, pde, source)
                  for p in problem.patches}
+    extensions = {p.pid: core_extension(p) for p in problem.patches}
     worst_orth = worst_proj = worst_resid = 0.0
     for tol in (1e-2, 1e-4):
         for seed in range(2):
@@ -357,7 +383,7 @@ def test_combined_basis_matches_nodal_gram_schmidt(field):
                 worst_orth = max(worst_orth, np.abs(
                     v.T @ (core_l2.gram @ v) - np.eye(v.shape[1])).max())
                 u_f = responses[patch.pid]
-                inputs = [patch.problem.core.extension @ s.random_basis.matrix,
+                inputs = [extensions[patch.pid] @ s.random_basis.matrix,
                           u_f[:, None]]
                 ref = RangeBasis(core_l2)
                 ref.extend_block(inputs[0])
@@ -481,7 +507,7 @@ def test_galerkin_orthogonality_on_singular_system():
 
     a = problem.stiffness_raw
     u = result.solution
-    resid = a @ u - problem.load
+    resid = a @ u - _global_load(problem, source)
     u_norm = np.sqrt(u @ (a @ u))
     worst = 0.0
     for s in spaces:
@@ -526,7 +552,7 @@ def test_banded_assembly_matches_dense_reference(desk_uniform):
     k = np.empty((ofs, ofs))
     for gids, span, w in blocks:
         k[span] = (a_phi[gids].T @ w).T
-    rhs = phi.T @ problem.load
+    rhs = phi.T @ _global_load(problem, gfem_field("uniform")[1])
     coeff = np.linalg.solve(k, rhs)
     u_ref = phi @ coeff
 
@@ -555,6 +581,7 @@ def test_frame_blocks_match_nodal_galerkin_blocks(field):
     problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
     coupling = problem.coupling
     a = problem.stiffness_raw.tocsr()
+    load = _global_load(problem, source)
     worst_block = worst_load = 0.0
     for tol in (1e-2, 1e-4):
         for seed in range(2):
@@ -564,7 +591,7 @@ def test_frame_blocks_match_nodal_galerkin_blocks(field):
                 coords.append(coupling.energy_coords(i, s.coords))
                 nodal.append(coupling.kept_weights[i][:, None]
                              * s.combined[coupling.keep_masks[i]])
-                b = problem.load[coupling.kept_gids[i]]
+                b = load[coupling.kept_gids[i]]
                 ref = nodal[i].T @ b
                 worst_load = max(worst_load, (
                     np.abs(coords[i].T @ coupling.loads[i] - ref)

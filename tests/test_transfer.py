@@ -9,6 +9,7 @@ from locmor.oracle import weighted_svd
 from locmor.problems import build_gfem_mesh, build_interface_transfer, \
     gfem_field
 from locmor.transfer import DenseOperator, ResidualOperator, TransferOperator
+from conftest import core_extension
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +19,8 @@ def small_op():
 
 def test_apply_is_linear(small_op):
     rng = np.random.default_rng(61)
-    z1 = rng.standard_normal(small_op.n_source)
-    z2 = rng.standard_normal(small_op.n_source)
+    z1 = rng.standard_normal(small_op.source.dim)
+    z2 = rng.standard_normal(small_op.source.dim)
     a = 0.37
     lhs = small_op.apply(a * z1 + z2)
     rhs = a * small_op.apply(z1) + small_op.apply(z2)
@@ -28,16 +29,16 @@ def test_apply_is_linear(small_op):
 
 
 def test_zero_and_constant_data(small_op):
-    assert np.abs(small_op.apply(np.zeros(small_op.n_source))).max() == 0.0
+    assert np.abs(small_op.apply(np.zeros(small_op.source.dim))).max() == 0.0
     # harmonic extension of constant boundary data is the constant
-    out = small_op.apply(np.ones(small_op.n_source))
+    out = small_op.apply(np.ones(small_op.source.dim))
     assert np.abs(out - 1.0).max() < 1e-10
 
 
 def test_symmetric_data_gives_symmetric_response(small_op):
     # the channel is symmetric across its horizontal midline
     rng = np.random.default_rng(67)
-    n_edge = small_op.n_source // 2
+    n_edge = small_op.source.dim // 2
     half = rng.standard_normal(n_edge)
     sym_edge = 0.5 * (half + half[::-1])
     zeta = np.concatenate([sym_edge, sym_edge])
@@ -62,7 +63,7 @@ def test_kernel_stage_removes_constants(toy_gfem):
     op = patch.problem.operator
     mass = patch.problem.core.core_l2.gram
     assert not patch.problem.touches_dirichlet
-    ext = patch.problem.core.extension
+    ext = core_extension(patch)
     ones = np.ones(op.source.dim)
     assert np.abs(ext @ op.apply(ones)).max() < 1e-10
     assert np.abs(ext @ op.apply_block(np.column_stack([ones, ones]))).max() \
@@ -86,16 +87,17 @@ def test_kernel_projection_identities(toy_gfem):
                                    assemble_system(patch.mesh, pde))),
         patch.problem.source_ids, patch.problem.range_ids, patch.source,
         patch.problem.core.range_space)
+    ext = core_extension(patch)
     rng = np.random.default_rng(79)
     z = rng.standard_normal(op.source.dim)
-    v = patch.problem.core.extension @ op.apply(z)
+    v = ext @ op.apply(z)
     plain = plain_op.apply(z)
     ones = np.ones(patch.problem.range_ids.size)
     mean = (ones @ (mass @ plain)) / (ones @ (mass @ ones))
     projected = plain - mean * ones
     assert np.abs(v - projected).max() < 1e-13 * np.abs(plain).max()
     # block columns match the single applies
-    block = patch.problem.core.extension @ op.apply_block(
+    block = ext @ op.apply_block(
         np.column_stack([z, np.ones(op.source.dim)]))
     assert np.abs(block[:, 0] - v).max() < 1e-13 * np.abs(v).max()
     assert np.abs(block[:, 1]).max() < 1e-10
@@ -104,14 +106,14 @@ def test_kernel_projection_identities(toy_gfem):
 def test_assemble_dense_consistency(small_op):
     dense = small_op.assemble_dense()
     n_range = small_op.range_space.dim
-    assert dense.matrix.shape == (n_range, small_op.n_source)
+    assert dense.matrix.shape == (n_range, small_op.source.dim)
     rng = np.random.default_rng(79)
     for _ in range(10):
-        z = rng.standard_normal(small_op.n_source)
+        z = rng.standard_normal(small_op.source.dim)
         direct = small_op.apply(z)
         assert np.abs(dense.apply(z) - direct).max() <= \
             1e-12 * max(np.abs(direct).max(), 1e-30)
-    assert np.linalg.matrix_rank(dense.matrix) <= min(small_op.n_source,
+    assert np.linalg.matrix_rank(dense.matrix) <= min(small_op.source.dim,
                                                       n_range)
 
 
@@ -131,7 +133,7 @@ def _solve_log(op, monkeypatch):
 def _both_directions(op):
     """The dense operator from forward solves on the source columns and
     from transposed solves on the range rows."""
-    forward = op.apply_block(np.eye(op.n_source))
+    forward = op.apply_block(np.eye(op.source.dim))
     rhs = np.zeros((op.n_total, op.range_ids.size))
     rhs[op.range_ids, np.arange(op.range_ids.size)] = 1.0
     transposed = op.factorization.solve(rhs, trans="T")[op.source_ids].T
@@ -181,7 +183,7 @@ def test_random_sup_underestimates_norm():
     sigma1 = weighted_svd(op.assemble_dense()).sigma(1)
     sup = 0.0
     for _ in range(200):
-        z = rng.standard_normal(op.n_source)
+        z = rng.standard_normal(op.source.dim)
         sup = max(sup, op.range_space.norm(op.apply(z))
                   / op.source.norm(z))
     assert 0.8 * sigma1 <= sup <= sigma1 * (1.0 + 1e-12)
@@ -195,7 +197,7 @@ def test_apply_block_matches_apply(small_op):
     residual = ResidualOperator(small_op,
                                 fixed_rank_range(small_op, 3, RngStream(4)))
     rng = np.random.default_rng(97)
-    block = rng.standard_normal((small_op.n_source, 5))
+    block = rng.standard_normal((small_op.source.dim, 5))
     for op in (small_op, dense, residual):
         out = op.apply_block(block)
         for k in range(5):
@@ -215,7 +217,7 @@ def test_residual_operator_projects(small_op):
     basis = fixed_rank_range(small_op, 3, RngStream(4))
     res = ResidualOperator(small_op, basis)
     rng = np.random.default_rng(101)
-    z = rng.standard_normal(small_op.n_source)
+    z = rng.standard_normal(small_op.source.dim)
     out = res.apply(z)
     # residual image has no component along the basis
     b = basis.matrix
@@ -238,7 +240,7 @@ def test_operator_validation():
 
     base = build_interface_transfer(h_inv=8)
     with pytest.raises(ValueError):
-        TransferOperator(base.factorization, np.zeros(base.n_source,
+        TransferOperator(base.factorization, np.zeros(base.source.dim,
                                                       dtype=int),
                          base.range_ids, base.source, base.range_space)
     with pytest.raises(ValueError):
