@@ -16,6 +16,7 @@ import scipy.linalg  # loads scipy's OpenBLAS copy
 
 from .experiments import (EXPERIMENT_IDS, ExperimentConfig, default_config,
                           run_experiment)
+from .linalg import NearSingularError
 
 
 def _build_parser():
@@ -96,7 +97,11 @@ def main(argv=None):
         # a bad config or --out path is a usage error: exit 2, as argparse
         print(f"locmor: error: {exc}", file=sys.stderr)
         return 2
-    paths = run_experiment(cfg)
+    try:
+        paths = run_experiment(cfg)
+    except NearSingularError as exc:
+        print(f"locmor: error: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

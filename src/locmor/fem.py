@@ -30,29 +30,23 @@ def box_indicator(background, boxes):
 
 @dataclass
 class PdeSpec:
-    """Scalar second-order operator on a rectangle.
+    """The operator -div(a grad u) - kappa**2 u on a rectangle.
 
-    kind: 'laplace', 'helmholtz' (real shift kappa**2), or 'diffusion'
-    with a piecewise-constant coefficient given as a background value and
-    axis-aligned override boxes (x0, x1, y0, y1, value); the last matching
-    box wins.  Coefficients are evaluated at element centroids.
+    The coefficient a is piecewise constant: a positive background value
+    and axis-aligned override boxes (x0, x1, y0, y1, value); the last
+    matching box wins.  It is evaluated at element centroids.
     """
 
-    kind: str = "laplace"
     kappa: float = 0.0
     background: float = 1.0
     boxes: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("laplace", "helmholtz", "diffusion"):
-            raise ValueError(f"unknown pde kind {self.kind!r}")
         if not np.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
-        if self.kind != "helmholtz" and self.kappa != 0.0:
-            raise ValueError("kappa only applies to the helmholtz kind")
         values = [self.background] + [b[4] for b in self.boxes]
-        if self.kind == "diffusion" and any(v <= 0.0 for v in values):
-            raise ValueError("diffusion coefficient must be positive")
+        if not all(v > 0.0 for v in values):
+            raise ValueError("coefficient a must be positive")
 
     def coefficient(self, x, y):
         """Coefficient at points (vectorized)."""
@@ -251,19 +245,17 @@ def _assemble(mesh, pde, what, element_ids=None, coefficient=None):
     area = mesh.element_area
     if what == "mass":
         data = np.tile((mass * area).ravel(), nel)
-    elif pde.kind == "diffusion":
+    else:
         if coefficient is None:
             coefficient = centroid_values(mesh, pde.coefficient)
         if element_ids is not None:
             coefficient = coefficient[element_ids]
-        data = (coefficient[:, None] * stiff.ravel()[None, :]).ravel()
-    else:
-        # exact for laplace, where kappa is 0
-        data = np.tile((stiff - pde.kappa ** 2 * mass * area).ravel(), nel)
+        data = coefficient[:, None] * stiff.ravel()
+        data -= (pde.kappa ** 2 * mass * area).ravel()
 
     rows = np.repeat(conn, npe, axis=1).ravel()
     cols = np.tile(conn, (1, npe)).ravel()
-    return sp.coo_matrix((data, (rows, cols)),
+    return sp.coo_matrix((data.ravel(), (rows, cols)),
                          shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
@@ -305,8 +297,8 @@ def _subdomain_gram(mesh, pde, box, what, coefficient=None):
 def assemble_energy_product(mesh, pde, box, coefficient=None):
     """Energy (semi)inner product over the elements inside a box.
 
-    Returns (gram, node_ids): the stiffness of a laplace or diffusion
-    pde restricted to the subdomain nodes.  The Gram is only
+    Returns (gram, node_ids): the system matrix of a pde with kappa 0
+    restricted to the subdomain nodes.  The Gram is only
     semidefinite (constants are flat); it is stored unregularized and
     callers deflate the kernel where needed.  coefficient: see _assemble.
     """

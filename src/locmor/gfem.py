@@ -153,9 +153,9 @@ def build_patches(global_mesh, pde, source_fn, truth):
     their core: each is built once per distinct key and the cache is
     dropped on return.
     """
-    if pde.kind == "helmholtz":
+    if pde.kappa != 0.0:
         # the core trace view needs images harmonic in the energy product
-        raise ValueError("GFEM patches need a laplace or diffusion pde")
+        raise ValueError("GFEM patches need kappa = 0")
     x0, x1, y0, y1 = global_mesh.bounds
     grid_shape = []
     for side in (x1 - x0, y1 - y0):
@@ -253,9 +253,8 @@ def _build_core(mesh, pde, coefficient, core_box, gamma, inner):
     frame_ones = np.append(mass_frame.sum(axis=0), 0.0)
     for array in (schur, constant_row, frame, frame_coords, frame_ones):
         array.setflags(write=False)
-    return _Core(range_space=InnerProductSpace(energy_gram, definite=False),
-                 core_l2=core_l2,
-                 trace_space=InnerProductSpace(schur, definite=False),
+    return _Core(range_space=InnerProductSpace(energy_gram), core_l2=core_l2,
+                 trace_space=InnerProductSpace(schur),
                  constant_row=constant_row, frame=frame,
                  frame_coords=frame_coords, frame_ones=frame_ones,
                  coord_space=InnerProductSpace.euclidean(frame.shape[1] + 1))

@@ -94,13 +94,13 @@ def _norm(v, gram_v):
 
 
 class InnerProductSpace:
-    """A discrete function space with a (semi)definite Gram matrix.
+    """A discrete function space with a symmetric Gram matrix.
 
-    The Gram matrix is stored unregularized.  For semidefinite energy
-    products pass definite=False.
+    The Gram matrix is stored unregularized; norms accept a semidefinite
+    one, cholesky needs it definite.
     """
 
-    def __init__(self, gram, definite=True):
+    def __init__(self, gram):
         if sp.issparse(gram):
             gram = sp.csr_matrix(gram)
             asym = abs(gram - gram.T).max()
@@ -113,7 +113,6 @@ class InnerProductSpace:
             raise ValueError("Gram matrix must be symmetric and nonzero")
         self.gram = gram
         self.dim = gram.shape[0]
-        self.definite = definite
         self._extremes = None
         self._chol = None
 
@@ -142,21 +141,10 @@ class InnerProductSpace:
 
     def cholesky(self):
         """Dense lower Cholesky factor.  Requires a definite Gram matrix."""
-        if not self.definite:
-            raise np.linalg.LinAlgError(
-                "cholesky factor of a semidefinite Gram matrix")
         if self._chol is None:
             self._chol = scipy.linalg.cholesky(
                 _as_2d_array(self.gram), lower=True)
         return self._chol
-
-    def factor(self):
-        """Matrix F with gram = F @ F.T (Cholesky, or eigh-based if PSD)."""
-        if self.definite:
-            return self.cholesky()
-        lam, vecs = scipy.linalg.eigh(_as_2d_array(self.gram))
-        keep = lam > 1e-14 * max(lam[-1], 0.0)
-        return vecs[:, keep] * np.sqrt(lam[keep])
 
 
 # ---------------------------------------------------------------------------

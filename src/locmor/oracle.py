@@ -1,6 +1,6 @@
 """Deterministic spectral reference for dense transfer operators.
 
-A weighted SVD through (half) factorizations of both Grams.  The largest
+A weighted SVD through the Cholesky factors of both Grams.  The largest
 weighted singular value is the operator norm; the n+1-st is the best
 possible error of any n-dimensional approximation space.
 """
@@ -36,10 +36,10 @@ def dense_matrix(op):
 
 
 def _whitened(op):
-    """z = F_R^T T L_S^{-T}, whose plain singular values are T's weighted
-    ones: L_S needs a definite source Gram, F_R may be semidefinite."""
+    """z = L_R^T T L_S^{-T}, whose plain singular values are T's weighted
+    ones; the Cholesky factors L_R and L_S need definite Grams."""
     matrix = dense_matrix(op)
-    y = op.range_space.factor().T @ matrix
+    y = op.range_space.cholesky().T @ matrix
     return solve_triangular(op.source.cholesky(), y.T, lower=True).T
 
 

@@ -23,12 +23,8 @@ def build_interface_transfer(h_inv, length=1.0, width=1.0, kappa=0.0):
         (-length, length, 0.0, width), 1.0 / h_inv, "q1",
         lambda x, y: np.where(np.abs(np.abs(x) - length) <= GEOM_TOL,
                               GAMMA_OUT, SIGMA_N))
-    if kappa == 0.0:
-        pde = PdeSpec("laplace")
-    else:
-        pde = PdeSpec("helmholtz", kappa=kappa)
     factorization = factorize(
-        constrain_system(mesh, assemble_system(mesh, pde)))
+        constrain_system(mesh, assemble_system(mesh, PdeSpec(kappa=kappa))))
 
     gram_l, ids_l = assemble_interface_l2(mesh,
                                           mesh.nodes_on_line("x", -length))
@@ -68,10 +64,10 @@ def gfem_field(name):
     strip.
     """
     if name == "uniform":
-        return PdeSpec("laplace"), box_indicator(1.0, [])
+        return PdeSpec(), box_indicator(1.0, [])
     if name == "channels":
-        pde = PdeSpec("diffusion", boxes=list(_CHANNEL_BOXES))
-        return pde, box_indicator(0.0, list(_SOURCE_BOXES))
+        return (PdeSpec(boxes=list(_CHANNEL_BOXES)),
+                box_indicator(0.0, list(_SOURCE_BOXES)))
     raise ValueError(f"unknown GFEM field {name!r}")
 
 

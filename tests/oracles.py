@@ -1,8 +1,8 @@
 """Test oracles for dense transfer operators: a generalized symmetric
 eigenproblem in the source Gram, an independent route to the singular
 values that `locmor.oracle.weighted_svd` computes and the one that also
-gives the singular vectors, and the closed-form singular values of the
-straight channel problem."""
+gives the singular vectors, the closed-form singular values of the
+straight channel problem, and a factor of a semidefinite Gram."""
 
 import math
 from dataclasses import dataclass
@@ -59,6 +59,14 @@ def transfer_eigenproblem(op):
     left[:, positive] = range_vectors[:, positive] / sigmas[positive]
     return Eigenpairs(sigmas=sigmas, eigenvalues=lam, coefficients=vecs,
                       range_vectors=range_vectors, left_vectors=left)
+
+
+def psd_factor(gram):
+    """F with gram = F F^T for a symmetric positive semidefinite Gram,
+    from its eigenpairs above NOISE_FLOOR_RTOL times the top one."""
+    lam, vecs = scipy.linalg.eigh(_as_2d_array(gram))
+    keep = lam > NOISE_FLOOR_RTOL * max(lam[-1], 0.0)
+    return vecs[:, keep] * np.sqrt(lam[keep])
 
 
 def analytic_interface_sigma(i, length, width):

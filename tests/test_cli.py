@@ -358,6 +358,22 @@ def test_unusable_out_path_exits_2_with_one_line(tmp_path, capsys):
     assert blocker.read_text(encoding="utf-8") == "kept"
 
 
+def test_resonant_kappa_exits_2_with_one_line(tmp_path, capsys):
+    # kappa at a discrete eigenvalue of the 1/h = 10 channel, as in
+    # test_linalg: the factorization refuses it, and no CSV is written
+    cfg = _write_config(tmp_path, {
+        "schema_version": 1, "experiment": "example2-helmholtz",
+        "params": {"h_inv": 10, "kappas": [1.5724117312772443]}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("locmor: error: near-resonant or singular")
+    assert list(out.iterdir()) == []
+
+
 def test_console_script_and_error_exit_codes(tmp_path):
     # the entry-point wiring: a listing, one rejected config (the rest
     # of the table runs in-process above) and an unknown flag

@@ -142,9 +142,9 @@ def test_element_matrices_match_quadrature_oracle():
             local = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
             ref[0][np.ix_(tri, tri)] += local
             ref[1][np.ix_(tri, tri)] += k * local
-        for pde, expected in ((PdeSpec(), ref[0]),
-                              (PdeSpec(kind="diffusion"), ref[1])):
-            a = assemble_system(mesh, pde, coefficient=coefficient).toarray()
+        for values, expected in ((None, ref[0]), (coefficient, ref[1])):
+            a = assemble_system(mesh, PdeSpec(),
+                                coefficient=values).toarray()
             assert np.abs(a - expected).max() < 1e-13
 
 
@@ -170,13 +170,16 @@ def _bitwise_equal(a, b):
 def _filtered_triplets(mesh, pde):
     """The constrained system in one COO to CSR pass: every element
     triplet outside the constrained rows, then one identity entry per
-    constrained node."""
+    constrained node.  The data are formed as a per-element coefficient
+    times the Laplace tile where kappa is 0, and as one shifted tile
+    otherwise, which needs a = 1."""
     stiff, mass = _REFERENCE[mesh.kind]
     conn = mesh.elements
-    if pde.kind == "diffusion":
+    if pde.kappa == 0.0:
         k = centroid_values(mesh, pde.coefficient)
         data = (k[:, None] * stiff.ravel()[None, :]).ravel()
     else:
+        assert pde.background == 1.0 and not pde.boxes
         local = stiff - pde.kappa ** 2 * mass * mesh.element_area
         data = np.tile(local.ravel(), conn.shape[0])
     rows = np.repeat(conn, conn.shape[1], axis=1).ravel()
@@ -196,7 +199,7 @@ def _channel(x, y):
 
 @pytest.mark.parametrize("kind, pde", [
     ("q1", PdeSpec()),
-    ("q1", PdeSpec("helmholtz", kappa=7.0)),
+    ("q1", PdeSpec(kappa=7.0)),
     ("p1x", gfem_field("uniform")[0]),
     ("p1x", gfem_field("channels")[0]),
 ])
@@ -232,23 +235,40 @@ def test_manufactured_solution_convergence():
 
 
 def test_diffusion_coefficient_boxes():
-    pde = PdeSpec(kind="diffusion", background=1.0,
+    pde = PdeSpec(background=1.0,
                   boxes=[(0.0, 0.5, 0.0, 1.0, 10.0),
                          (0.2, 0.3, 0.2, 0.3, 100.0)])
     k = pde.coefficient([0.6, 0.25, 0.25], [0.5, 0.5, 0.25])
     assert np.array_equal(k, [1.0, 10.0, 100.0])
     with pytest.raises(ValueError):
-        PdeSpec(kind="diffusion", boxes=[(0, 1, 0, 1, -2.0)])
+        PdeSpec(boxes=[(0, 1, 0, 1, -2.0)])
+    for background in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            PdeSpec(background=background)
     with pytest.raises(ValueError):
-        PdeSpec(kind="laplace", kappa=3.0)
+        PdeSpec(kappa=np.nan)
+    # a box scales the Laplace part on the elements inside it alone
+    mesh = build_rect_mesh((0, 1, 0, 1), 0.25, kind="p1x")
+    box = (0.0, 0.5, 0.0, 1.0)
+    gram, ids = assemble_energy_product(mesh, PdeSpec(), box)
+    inside = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    inside[np.ix_(ids, ids)] = gram.toarray()
+    lap = assemble_system(mesh, PdeSpec()).toarray()
+    boxed = assemble_system(mesh, PdeSpec(boxes=[box + (10.0,)]))
+    assert np.abs(lap + 9.0 * inside - boxed.toarray()).max() < 1e-12
 
 
 def test_helmholtz_shift_is_mass():
+    # -div(a grad u) - kappa^2 u: the shift subtracts kappa^2 times the
+    # mass, also where the coefficient a scales the Laplace part
     mesh = build_rect_mesh((0, 1, 0, 1), 0.25, kind="p1x")
     lap = assemble_system(mesh, PdeSpec())
-    helm = assemble_system(mesh, PdeSpec(kind="helmholtz", kappa=3.0))
     m = assemble_mass(mesh)
-    assert np.abs((lap - 9.0 * m - helm).toarray()).max() < 1e-12
+    for background in (1.0, 2.0):
+        helm = assemble_system(mesh, PdeSpec(kappa=3.0,
+                                             background=background))
+        assert np.abs((background * lap - 9.0 * m
+                       - helm).toarray()).max() < 1e-12
 
 
 def test_load_vector_integrates_constants():

@@ -36,7 +36,7 @@ def test_factorization_fill_below_colamd():
     # the mesh build_interface_transfer factors at 1/h = 20
     mesh = build_rect_mesh((-1.0, 1.0, 0.0, 1.0), 1.0 / 20, "q1", _channel)
     matrix = sp.csc_matrix(
-        constrain_system(mesh, assemble_system(mesh, PdeSpec("laplace"))))
+        constrain_system(mesh, assemble_system(mesh, PdeSpec())))
     colamd = spla.splu(matrix, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     b = np.random.default_rng(43).standard_normal(matrix.shape[0])
@@ -57,7 +57,7 @@ def test_factorize_rejects_resonant_helmholtz(bounds, kind, tag_fn, kappa):
     mesh = build_rect_mesh(bounds, 0.1, kind, tag_fn)
     with pytest.raises(NearSingularError):
         factorize(constrain_system(
-            mesh, assemble_system(mesh, PdeSpec("helmholtz", kappa=kappa))))
+            mesh, assemble_system(mesh, PdeSpec(kappa=kappa))))
 
 
 def test_gram_extremal_eigenvalues_dense_certified():
@@ -93,22 +93,6 @@ def test_cholesky_and_factor_reproduce_gram():
     space = InnerProductSpace(gram)
     l = space.cholesky()
     assert np.abs(l @ l.T - gram).max() < 1e-12
-    f = space.factor()
-    assert np.abs(f @ f.T - gram).max() < 1e-12
-
-
-def test_factor_semidefinite():
-    rng = np.random.default_rng(19)
-    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-    eig = np.concatenate([[0.0, 0.0], np.linspace(1.0, 2.0, 7)])
-    gram = (q * eig) @ q.T
-    gram = 0.5 * (gram + gram.T)
-    space = InnerProductSpace(gram, definite=False)
-    f = space.factor()
-    assert f.shape == (9, 7)
-    assert np.abs(f @ f.T - gram).max() < 1e-10
-    with pytest.raises(np.linalg.LinAlgError):
-        space.cholesky()
 
 
 def _basis_orthonormality(basis):

@@ -188,14 +188,6 @@ def test_weighted_norm_of_a_tall_operator():
         _assert_sigma1_agrees(op)
 
 
-def test_weighted_norm_of_gfem_patch_operators(desk_uniform):
-    # semidefinite trace spaces: the range factor comes from eigh
-    patches = desk_uniform.patches
-    assert not any(p.problem.operator.range_space.definite for p in patches)
-    for patch in patches[::10]:
-        _assert_sigma1_agrees(patch.problem.operator)
-
-
 def test_projection_error_on_the_full_and_the_empty_basis(interface40):
     dense, sigma1 = interface40.dense, interface40.data.sigma(1)
     full = RangeBasis(dense.range_space)

@@ -1,22 +1,21 @@
 """Print one SHA-256 digest per experiment output file.
 
-Runs all seven experiments through the `locmor run` entry point, so the
-BLAS pin applies, at fixed small configs with seed 3, and prints
-`<sha256>  <file name>` per output file.  The wall-time rows of
-example1-cputable.csv (keys ending in `_s`) are left out of its digest.
-Two commits that print the same lines write byte-identical outputs.
+Runs all seven experiments through `run_experiment` at fixed small
+configs with seed 3 and prints `<sha256>  <file name>` per output file.
+It bypasses the `locmor` command, whose BLAS pin would hold both OpenBLAS
+copies at one thread, so a run under `OPENBLAS_NUM_THREADS=2` really
+uses two threads and shows whether the outputs depend on the count.
+The wall-time rows of example1-cputable.csv (keys ending in `_s`) are
+left out of its digest.  Two commits that print the same lines write
+byte-identical outputs.
 
     PYTHONPATH=src python tools/output_digests.py
 """
 
-import contextlib
 import hashlib
-import io
-import json
 import tempfile
-from pathlib import Path
 
-from locmor.cli import main
+from locmor.experiments import ExperimentConfig, run_experiment
 
 CONFIGS = {
     "example1-fixed": {"h_inv": 20, "n_values": [0, 2, 4, 6], "runs": 10},
@@ -46,18 +45,10 @@ def output_digests():
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
         for experiment, params in CONFIGS.items():
-            config = Path(tmp) / f"{experiment}.json"
-            config.write_text(json.dumps({
-                "schema_version": 1, "experiment": experiment,
-                "seed": 3, "params": params}), encoding="utf-8")
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed):
-                status = main(["run", "--config", str(config),
-                               "--out", str(Path(tmp) / "out")])
-            if status != 0:
-                raise SystemExit(f"{experiment} exited with {status}")
-            for line in printed.getvalue().splitlines():
-                path = Path(line)
+            cfg = ExperimentConfig.from_dict({
+                "schema_version": 1, "experiment": experiment, "seed": 3,
+                "out": tmp, "params": params})
+            for path in run_experiment(cfg):
                 digests.append((path.name, _digest(path)))
     return digests
 
