@@ -92,14 +92,20 @@ def main(argv=None):
     try:
         cfg = ExperimentConfig.from_json(args.config, **overrides)
         # only after validation, so a rejected config leaves no directory
-        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+        out = Path(cfg.out)
+        created = [d for d in (out, *out.parents) if not d.exists()]
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         # a bad config or --out path is a usage error: exit 2, as argparse
         print(f"locmor: error: {exc}", file=sys.stderr)
         return 2
     try:
         paths = run_experiment(cfg)
-    except NearSingularError as exc:
+    except (NearSingularError, ValueError) as exc:
+        # e.g. a resonant kappa or the dense guard; outputs are written
+        # last, so the directories made above are empty: deepest first
+        for directory in created:
+            directory.rmdir()
         print(f"locmor: error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

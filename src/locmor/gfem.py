@@ -830,14 +830,11 @@ def _local_error(coupling, i, space):
     patch = space.patch
     u = coupling.centred_truth[i]
     c = space.coords
-    if c.shape[1] == 0:
-        resid = u
-    else:
-        g = c.T @ (coupling.error_grams[i] @ c)
-        b = c.T @ coupling.error_rhs[i]
-        coeff, *_ = np.linalg.lstsq(g, b, rcond=None)
-        y = c @ coeff
-        resid = u - (_lift(patch.problem, y) - coupling.frame_means[i] @ y)
+    g = c.T @ (coupling.error_grams[i] @ c)
+    b = c.T @ coupling.error_rhs[i]
+    coeff, *_ = np.linalg.lstsq(g, b, rcond=None)
+    y = c @ coeff
+    resid = u - (_lift(patch.problem, y) - coupling.frame_means[i] @ y)
     gram = patch.problem.core.range_space.gram
     num = float(np.sqrt(max(resid @ (gram @ resid), 0.0)))
     return num / max(patch.truth_energy, 1e-300)

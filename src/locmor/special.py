@@ -1,69 +1,12 @@
 """Scalar special functions feeding the probabilistic estimator constants.
 
 erf, erfc, erf_inv, gamma_q and gamma_q_inv wrap scipy.special behind
-the domain checks the estimator relies on.  log_gamma_q, the log of the
-normalized upper incomplete gamma function, has no scipy counterpart; it
-runs in log space, so tails where Q itself underflows stay finite.
+the domain checks the estimator relies on.
 """
 
 import math
 
 import scipy.special
-
-_EPS = 1e-16
-_MAX_ITER = 10 ** 6
-
-
-def _log_prefactor(a, x):
-    # log of x^a e^-x / Gamma(a)
-    return a * math.log(x) - x - math.lgamma(a)
-
-
-def _lower_series(a, x):
-    """Regularized lower incomplete gamma P(a, x) by power series.
-
-    All terms are positive, so there is no cancellation.  Valid for
-    x < a + 1 where the series converges quickly.
-    """
-    term = 1.0 / a
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if term < _EPS * total:
-            break
-        if n > _MAX_ITER:
-            raise ArithmeticError("lower gamma series failed to converge")
-    return math.exp(_log_prefactor(a, x) + math.log(total))
-
-
-def _log_upper_cf(a, x):
-    """log Q(a, x) by the Legendre continued fraction (modified Lentz).
-
-    Valid for x >= a + 1; returning the log keeps deep tails exact.
-    """
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return _log_prefactor(a, x) + math.log(h)
-    raise ArithmeticError("upper gamma continued fraction failed to converge")
 
 
 def _check_shape(a):
@@ -78,14 +21,12 @@ def _check_gamma_args(a, x):
 
 
 def log_gamma_q(a, x):
-    """log of the normalized upper incomplete gamma function."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        p = _lower_series(a, x)
-        return math.log1p(-p)
-    return _log_upper_cf(a, x)
+    """log Q(a, x).  No estimator reads it; the name stays only because
+    the _SPECIAL table of bench/tracer.py looks it up (ROADMAP item 1)."""
+    q = gamma_q(a, x)
+    if q == 0.0:
+        raise ValueError(f"Q({a}, {x}) underflows to 0; its log is -inf")
+    return math.log(q)
 
 
 def gamma_q(a, x):

@@ -371,7 +371,26 @@ def test_resonant_kappa_exits_2_with_one_line(tmp_path, capsys):
     lines = stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("locmor: error: near-resonant or singular")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_dense_guard_exits_2_and_removes_only_what_it_made(tmp_path, capsys):
+    # 1/h = 100 on a 0.01 x 50 channel gives 10,002 source dofs, above
+    # DENSE_GUARD; of the nested --out, only the directories the run
+    # created are removed
+    cfg = _write_config(tmp_path, {
+        "schema_version": 1, "experiment": "example1-fixed",
+        "params": {"h_inv": 100, "length": 0.01, "width": 50,
+                   "n_values": [0], "runs": 1}})
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = kept / "a" / "b"
+    args = ["run", "--config", cfg, "--out", str(out)]
+    returncode = main(args)
+    stderr = capsys.readouterr().err
+    _assert_rejected(returncode, stderr, kept / "a", args)
+    assert stderr.startswith("locmor: error: dense assembly of 10002")
+    assert kept.is_dir()
 
 
 def test_console_script_and_error_exit_codes(tmp_path):

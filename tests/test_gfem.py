@@ -15,7 +15,7 @@ from locmor.fem import (SIGMA_D, PdeSpec, assemble_system, build_rect_mesh,
                         centroid_values, constrain_rhs, constrain_system,
                         load_vector)
 from locmor.gfem import (REDUCED_RTOL, SHIFT_RETRIES, LocalReducedSpace,
-                         _build_patch, _core_trace_split,
+                         _build_patch, _core_trace_split, _local_error,
                          _pou_weights, _upper_band_view, _write_band_block,
                          assemble_gfem_and_solve,
                          build_gfem_problem, build_patches,
@@ -708,14 +708,21 @@ def test_reduced_solve_raises_the_shift_tenfold_then_gives_up(
 def test_local_error_matches_least_squares(field, bound):
     # reference: least squares on F^T with the semidefinite core energy
     # Gram = F F^T.  Measured worst deviations: 1.6e-14 (uniform) and
-    # 8.7e-9 (channels)
+    # 8.7e-9 (channels).  A space with no columns is one more input: its
+    # error is the whole centred truth energy on the core
     pde, source = gfem_field(field)
     problem = build_gfem_problem(build_gfem_mesh(20), pde, source)
     worst = 0.0
     for tol in (1e-2, 1e-4):
         for seed in range(4):
             result, spaces = gfem_run(problem, tol, 8, 1e-12, seed=seed)
-            for s, local in zip(spaces, result.local_errors):
+            cases = list(zip(spaces, result.local_errors))
+            if tol == 1e-2 and seed == 0:
+                for i, s in enumerate(spaces):
+                    empty = dataclasses.replace(s, coords=s.coords[:, :0])
+                    cases.append((empty, _local_error(problem.coupling, i,
+                                                      empty)))
+            for s, local in cases:
                 patch = s.patch
                 f = psd_factor(patch.problem.core.range_space.gram)
                 gids = patch.local_to_global[patch.problem.range_ids]
