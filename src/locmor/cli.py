@@ -102,8 +102,8 @@ def main(argv=None):
     try:
         paths = run_experiment(cfg)
     except (NearSingularError, ValueError) as exc:
-        # e.g. a resonant kappa or the dense guard; outputs are written
-        # last, so the directories made above are empty: deepest first
+        # e.g. a resonant kappa; outputs are written last, so the
+        # directories made above are empty: deepest first
         for directory in created:
             directory.rmdir()
         print(f"locmor: error: {exc}", file=sys.stderr)

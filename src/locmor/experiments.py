@@ -22,7 +22,7 @@ from .problems import build_gfem_mesh, build_interface_transfer, gfem_field
 from .rangefinder import (RngStream, a_priori_bound, adaptive_randomized_range,
                           c_eff, fixed_rank_range, norm_estimate,
                           projection_error, test_vector_norms)
-from .transfer import ResidualOperator
+from .transfer import ResidualOperator, check_dense_guard
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +61,10 @@ EXPERIMENT_DEFAULTS = {
 }
 
 EXPERIMENT_IDS = sorted(EXPERIMENT_DEFAULTS)
+
+# the interface experiments that assemble the dense operator
+DENSE_EXPERIMENTS = ("example1-fixed", "example1-adaptive", "example1-hdep",
+                     "example1-effectivity", "example2-helmholtz")
 
 
 def _check_integer(name, value, minimum):
@@ -132,6 +136,15 @@ def _check_on_grid(merged):
                     f"h = 1/{h_inv}, got {merged[key]!r}")
 
 
+def _check_dense_guard(merged):
+    """Refuse, before any meshing, an h_inv whose channel has more than
+    DENSE_GUARD source dofs: the 2 (width h_inv + 1) nodes of its two
+    far edges."""
+    h_invs = merged["h_invs"] if "h_invs" in merged else [merged["h_inv"]]
+    for h_inv in h_invs:
+        check_dense_guard(2 * (round(merged["width"] * h_inv) + 1))
+
+
 def _check_param(key, value, default, check, *bounds):
     """check(name, value, *bounds) on a parameter, or on each entry of a
     list parameter (one whose default is a list)."""
@@ -193,6 +206,8 @@ class ExperimentConfig:
             merged[key] = _check_param(key, value, defaults[key],
                                        *PARAM_RULES[key])
         _check_on_grid(merged)
+        if self.experiment in DENSE_EXPERIMENTS:
+            _check_dense_guard(merged)
         if "n" in merged:
             # c_eff needs the remainder rank width * h_inv + 1 - n >= 1
             n_max = round(merged["width"] * merged["h_inv"])

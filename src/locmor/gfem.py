@@ -301,10 +301,11 @@ def _solve_local_problem(mesh, pde, coefficient, load, core_box,
         # constants are flat in the energy product, so the operator maps
         # into the range modulo constants: each image loses its core-L2
         # projection onto the constant, in Γ coordinates as E 1 = 1 here
-        operator.matrix -= core.constant_row @ operator.matrix
+        matrix = operator.matrix
+        operator = DenseOperator(matrix - core.constant_row @ matrix,
+                                 operator.source, operator.range_space)
     u_f_coords, u_f_residual = _source_split(core, u_f)
-    for array in (source_ids, range_ids, operator.matrix, u_f_coords,
-                  u_f_residual):
+    for array in (source_ids, range_ids, u_f_coords, u_f_residual):
         array.setflags(write=False)
     return _LocalProblem(
         source_ids=source_ids, range_ids=range_ids, core=core,

@@ -44,13 +44,24 @@ def _whitened(op):
 
 
 def weighted_svd(op):
-    """Spectrum from the full SVD of z; values-only differs in last bits."""
+    """Spectrum from the full SVD of z; values-only differs in last bits.
+
+    z is whitened by a triangular solve, not by the cached L_S^{-T} of
+    weighted_norm: one solve per spectrum costs nothing worth saving,
+    and every printed singular value stays as it was."""
     z = _whitened(op)
     return SpectralData(sigmas=np.linalg.svd(z, full_matrices=False)[1])
 
 
-def weighted_norm(op):
-    """sigma_1 alone, from the top eigenvalue of the smaller Gram of z."""
-    z = _whitened(op)
+def weighted_norm_of(matrix, source, range_space):
+    """sigma_1 of a matrix from source to range_space, from the top
+    eigenvalue of the smaller Gram of z = L_R^T T L_S^{-T}, whitened by
+    one product with the source's cached L_S^{-T}."""
+    z = range_space.cholesky().T @ matrix @ source.whitener()
     gram = z @ z.T if z.shape[0] <= z.shape[1] else z.T @ z
     return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
+
+
+def weighted_norm(op):
+    """sigma_1 alone, as weighted_norm_of the operator's matrix."""
+    return weighted_norm_of(dense_matrix(op), op.source, op.range_space)

@@ -19,9 +19,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .linalg import RangeBasis, gram_norms
-from .oracle import dense_matrix, weighted_norm
+from .oracle import dense_matrix, weighted_norm_of
 from .special import erf_inv, gamma_q_inv
-from .transfer import DenseOperator
 
 # consecutive rejected draws before declaring rank exhaustion
 MAX_CONSECUTIVE_REJECTS = 5
@@ -222,12 +221,13 @@ def fixed_rank_range(op, n, rng):
 
 
 def projection_error(op, basis):
-    """Exact residual norm ||T - P T|| of a dense operator."""
+    """Exact residual norm ||T - P T|| of a dense operator, projected
+    through its cached Gram image."""
     matrix = dense_matrix(op)
     b = basis.matrix
     if b.shape[1]:
-        matrix = matrix - b @ (b.T @ (op.range_space.apply_gram(matrix)))
-    return weighted_norm(DenseOperator(matrix, op.source, op.range_space))
+        matrix = matrix - b @ (b.T @ op.gram_image)
+    return weighted_norm_of(matrix, op.source, op.range_space)
 
 
 def a_priori_bound(sigmas, n, lambda_s_min, lambda_s_max, lambda_r_min,

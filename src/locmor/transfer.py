@@ -8,16 +8,37 @@ import numpy as np
 DENSE_GUARD = 10_000
 
 
+def check_dense_guard(n_source):
+    """Raise ValueError if n_source columns exceed DENSE_GUARD."""
+    if n_source > DENSE_GUARD:
+        raise ValueError(f"dense assembly of {n_source} columns exceeds the "
+                         f"guard of {DENSE_GUARD}")
+
+
 class DenseOperator:
-    """Explicit matrix between two inner product spaces."""
+    """Explicit matrix between two inner product spaces.
+
+    The matrix is a read-only copy of the one given, so the Gram image
+    G T, which every projection error reads, is formed once and cached.
+    """
 
     def __init__(self, matrix, source, range_space):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.array(matrix, dtype=float)
         if matrix.shape != (range_space.dim, source.dim):
             raise ValueError("matrix shape does not match the spaces")
+        matrix.setflags(write=False)
         self.matrix = matrix
         self.source = source
         self.range_space = range_space
+        self._gram_image = None
+
+    @property
+    def gram_image(self):
+        """G T, the range Gram applied to the matrix; read-only."""
+        if self._gram_image is None:
+            self._gram_image = self.range_space.apply_gram(self.matrix)
+            self._gram_image.setflags(write=False)
+        return self._gram_image
 
     def apply_block(self, block):
         return self.matrix @ block
@@ -65,11 +86,9 @@ class TransferOperator:
     def assemble_dense(self):
         """Dense form from one block solve on the identity: forward over
         the source columns, or transposed over the range rows when there
-        are fewer of them.  Refuses above DENSE_GUARD source dimensions."""
-        if self.source.dim > DENSE_GUARD:
-            raise ValueError(
-                f"dense assembly of {self.source.dim} columns exceeds the "
-                f"guard of {DENSE_GUARD}")
+        are fewer of them.  Refuses above DENSE_GUARD source dimensions.
+        The range Gram of the result is dense (range_space.as_dense())."""
+        check_dense_guard(self.source.dim)
         n_range = self.range_ids.size
         if n_range >= self.source.dim:
             matrix = self.apply_block(np.eye(self.source.dim))
@@ -80,7 +99,8 @@ class TransferOperator:
             rhs[self.range_ids, np.arange(n_range)] = 1.0
             rows = self.factorization.solve(rhs, trans="T")
             matrix = np.ascontiguousarray(rows[self.source_ids].T)
-        return DenseOperator(matrix, self.source, self.range_space)
+        return DenseOperator(matrix, self.source,
+                             self.range_space.as_dense())
 
 
 class ResidualOperator:

@@ -300,6 +300,9 @@ def _rejected_run_args(tmp_path, out):
          "params": {"fields": ["nope"]}},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "width": 0.35}},
         {**SMALL_FIXED, "params": {**SMALL_FIXED["params"], "length": -1}},
+        # 2 (50 * 100 + 1) = 10,002 source dofs, above the dense guard
+        {**SMALL_FIXED, "params": {"h_inv": 100, "length": 0.01,
+                                   "width": 50}},
         {**SMALL_FIXED, "params": 5},
         {**SMALL_FIXED, "experiment": ["x"]},
         {key: value for key, value in SMALL_FIXED.items()
@@ -360,37 +363,57 @@ def test_unusable_out_path_exits_2_with_one_line(tmp_path, capsys):
 
 def test_resonant_kappa_exits_2_with_one_line(tmp_path, capsys):
     # kappa at a discrete eigenvalue of the 1/h = 10 channel, as in
-    # test_linalg: the factorization refuses it, and no CSV is written
+    # test_linalg: the factorization refuses it, and no CSV is written;
+    # of the nested --out, only the directories the run created are
+    # removed
     cfg = _write_config(tmp_path, {
         "schema_version": 1, "experiment": "example2-helmholtz",
         "params": {"h_inv": 10, "kappas": [1.5724117312772443]}})
-    out = tmp_path / "out"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = kept / "a" / "b"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
     lines = stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("locmor: error: near-resonant or singular")
-    assert not out.exists()
+    assert not (kept / "a").exists()
+    assert kept.is_dir()
 
 
-def test_dense_guard_exits_2_and_removes_only_what_it_made(tmp_path, capsys):
+def test_dense_guard_exits_2_before_meshing(tmp_path, capsys, monkeypatch):
     # 1/h = 100 on a 0.01 x 50 channel gives 10,002 source dofs, above
-    # DENSE_GUARD; of the nested --out, only the directories the run
-    # created are removed
+    # DENSE_GUARD: the config is refused before any mesh is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed a config above the dense guard")
+
+    monkeypatch.setattr(locmor.problems, "build_rect_mesh", no_mesh)
     cfg = _write_config(tmp_path, {
         "schema_version": 1, "experiment": "example1-fixed",
         "params": {"h_inv": 100, "length": 0.01, "width": 50,
                    "n_values": [0], "runs": 1}})
-    kept = tmp_path / "kept"
-    kept.mkdir()
-    out = kept / "a" / "b"
+    out = tmp_path / "out"
     args = ["run", "--config", cfg, "--out", str(out)]
     returncode = main(args)
     stderr = capsys.readouterr().err
-    _assert_rejected(returncode, stderr, kept / "a", args)
+    _assert_rejected(returncode, stderr, out, args)
     assert stderr.startswith("locmor: error: dense assembly of 10002")
-    assert kept.is_dir()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("example1-adaptive", {"h_inv": 100, "width": 50}),
+    ("example1-effectivity", {"h_inv": 100, "width": 50}),
+    ("example2-helmholtz", {"h_inv": 100, "width": 50}),
+    # the second of the h_invs trips it
+    ("example1-hdep", {"h_invs": [10, 100], "length": 0.1, "width": 50}),
+])
+def test_config_checks_the_dense_guard(experiment, params):
+    with pytest.raises(ValueError, match="dense assembly of 10002 columns"):
+        ExperimentConfig(experiment, params=params)
+    # 9,982 source dofs pass, and the matrix-free run is not guarded
+    ExperimentConfig(experiment, params={**params, "width": 49.9})
+    ExperimentConfig("example1-cputable", params={"h_inv": 100, "width": 50})
 
 
 def test_console_script_and_error_exit_codes(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from locmor.linalg import InnerProductSpace, RangeBasis
 from locmor.oracle import weighted_norm, weighted_svd
@@ -174,8 +175,11 @@ def test_projection_error_is_sigma1_of_the_residual(interface40):
     dense = interface40.dense
     for n in range(13):
         basis = fixed_rank_range(dense, n, RngStream(100 + n))
-        ref = _assert_sigma1_agrees(_residual(dense, basis))
+        residual = _residual(dense, basis)
+        ref = _assert_sigma1_agrees(residual)
         assert abs(projection_error(dense, basis) - ref) <= 1e-13 * ref
+        # the cached Gram image leaves the residual bitwise as it was
+        assert projection_error(dense, basis) == weighted_norm(residual)
 
 
 def test_weighted_norm_of_a_tall_operator():
@@ -209,6 +213,38 @@ def test_projection_error_makes_no_svd(interface40, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert projection_error(dense, basis) == before
+
+
+def test_projection_error_forms_its_caches_once(monkeypatch):
+    # a fresh operator on fresh spaces, so nothing is cached yet
+    dense = build_interface_transfer(h_inv=10).assemble_dense()
+    basis = fixed_rank_range(dense, 3, RngStream(5))
+    calls = {"gram": 0, "solve": 0}
+    apply_gram = dense.range_space.apply_gram
+    solve_triangular = scipy.linalg.solve_triangular
+
+    def counted_gram(v):
+        calls["gram"] += 1
+        return apply_gram(v)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve_triangular(*args, **kwargs)
+
+    monkeypatch.setattr(dense.range_space, "apply_gram", counted_gram)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", counted_solve)
+    first = projection_error(dense, basis)
+    assert projection_error(dense, basis) == first
+    # G T once, and L_S^{-T} from one triangular solve
+    assert calls == {"gram": 1, "solve": 1}
+    assert np.array_equal(dense.gram_image,
+                          dense.range_space.gram @ dense.matrix)
+    whitener = dense.source.whitener()
+    assert np.abs(dense.source.cholesky().T @ whitener
+                  - np.eye(dense.source.dim)).max() < 1e-13
+    for cached in (dense.gram_image, whitener):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("call", [

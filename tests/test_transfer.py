@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import locmor.transfer
 from locmor.fem import assemble_system, constrain_system
@@ -161,6 +162,35 @@ def test_assemble_dense_directions_agree(small_op, monkeypatch):
         assert dense.flags.c_contiguous
         assert np.abs(dense - forward).max() <= 1e-12 * scale
         monkeypatch.undo()
+
+
+def test_assemble_dense_gives_a_dense_range_gram(small_op, toy_gfem):
+    # the interface range Gram is densified, entry for entry, and its
+    # spectrum and factor come out bitwise as from the sparse one
+    sparse_space = small_op.range_space
+    dense_space = small_op.assemble_dense().range_space
+    assert sp.issparse(sparse_space.gram)
+    assert type(dense_space.gram) is np.ndarray
+    assert np.array_equal(dense_space.gram, sparse_space.gram.toarray())
+    assert dense_space.extremal_eigenvalues() == \
+        sparse_space.extremal_eigenvalues()
+    assert dense_space.cholesky().tobytes() == \
+        sparse_space.cholesky().tobytes()
+    # GFEM's Schur trace space, dense already, is passed through
+    local = _interior(toy_gfem[2]).problem
+    assert local.operator.range_space is local.core.trace_space
+
+
+def test_dense_operator_keeps_a_read_only_copy():
+    matrix = np.arange(12.0).reshape(3, 4)
+    op = DenseOperator(matrix, InnerProductSpace.euclidean(4),
+                       InnerProductSpace.euclidean(3))
+    matrix[0, 0] = 5.0
+    assert op.matrix[0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix -= 1.0
 
 
 def test_assemble_dense_guard(small_op, monkeypatch):
